@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import symbols as sy
-from .expr import Expr, ZERO, as_expr, constant, monomial, sqrt, symbol
+from .expr import Expr, ZERO, _mono_sort_key, as_expr, constant, monomial, sqrt, symbol
 from .jets import Manifold
-from .linsolve import linear_solve, nullspace
+from .linsolve import linear_solve
 from .printer import pretty
 
 
@@ -251,21 +251,15 @@ def ansatz_solve(man: Manifold, basis: Sequence[Expr]) -> AnsatzResult:
     for b in basis:
         if any(s.kind == sy.K_CONST for s in b.free_symbols()):
             raise EngineError("ansatz basis must not contain unknown constants")
-    unknowns = [sy.unknown(k + 1) for k in range(len(basis))]
-    combined = ZERO
-    for c, b in zip(unknowns, basis):
-        combined = combined + symbol(c) * residual(man, b).value
-    solution = linear_solve([combined], unknowns)
+    solution = linear_solve([residual(man, b).value for b in basis])
     pairs = []
     for vec in solution.basis:
         q = ZERO
         entries: Dict[int, Expr] = {}
-        for k, c_sym in enumerate(unknowns):
-            entry = vec.get(c_sym)
-            if entry is None or entry.is_zero():
-                continue
-            entries[k] = entry
-            q = q + entry * basis[k]
+        for k, entry in enumerate(vec):
+            if not entry.is_zero():
+                entries[k] = entry
+                q = q + entry * basis[k]
         pairs.append((q, entries))
     pairs, dependent = _function_space_reduce(pairs)
     characteristics: List[Expr] = []
@@ -306,7 +300,7 @@ def _function_space_reduce(pairs):
         return [], 0
     keys = sorted(
         {key for q, _ in pairs for key in q.terms},
-        key=lambda key: (_term_sort_key(key[0]), key[1]),
+        key=lambda key: (_mono_sort_key(key[0]), key[1]),
     )
     n = len(pairs)
     rows = []
@@ -336,12 +330,6 @@ def _function_space_reduce(pairs):
         entries = {k: e for k, e in entries.items() if not e.is_zero()}
         out.append((q, entries))
     return out, dependent
-
-
-def _term_sort_key(m):
-    from .expr import _mono_sort_key
-
-    return _mono_sort_key(m)
 
 
 def _canonicalize_rational_solutions(result: AnsatzResult):
@@ -433,7 +421,7 @@ def new_dimension_count(characteristics: Sequence[Expr], order: int) -> int:
                 high_keys.append((m, k))
     if not high_keys:
         return 0
-    high_keys.sort(key=lambda key: (_term_sort_key(key[0]), key[1]))
+    high_keys.sort(key=lambda key: (_mono_sort_key(key[0]), key[1]))
     rows = [
         [q.terms.get(key, Fraction(0)) for key in high_keys]
         for q in characteristics

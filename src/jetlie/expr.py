@@ -98,12 +98,6 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return monomial(m1.powers + m2.powers)
 
 
-def mono_pow(m: Monomial, n: int) -> Monomial:
-    if n == 0 or not m.powers:
-        return MONE
-    return Monomial(tuple((s, e * n) for s, e in m.powers))
-
-
 def mono_divides(d: Monomial, m: Monomial) -> bool:
     return all(m.exponent(s) >= e for s, e in d.powers)
 
@@ -355,22 +349,9 @@ class Expr:
 
     # -- ring operations --------------------------------------------------------
 
-    def _merged_radicand(self, other: "Expr") -> "Optional[Expr]":
-        r1 = self.radicand if self.has_radical() else None
-        r2 = other.radicand if other.has_radical() else None
-        if r1 is None:
-            return r2
-        if r2 is None or r1 == r2:
-            return r1
-        from .printer import pretty
-
-        raise KernelConflictError(
-            f"distinct radical kernels: sqrt({pretty(r1)}) vs sqrt({pretty(r2)})"
-        )
-
     def __add__(self, other):
         other = as_expr(other)
-        rad = self._merged_radicand(other)
+        rad = common_kernel(self, other)
         acc = dict(self.terms)
         for key, c in other.terms.items():
             v = acc.get(key, QZERO) + c
@@ -395,7 +376,7 @@ class Expr:
         other = as_expr(other)
         if not self.terms or not other.terms:
             return ZERO
-        rad = self._merged_radicand(other)
+        rad = common_kernel(self, other)
         acc: Dict[TermKey, Fraction] = {}
         for (m1, k1), c1 in self.terms.items():
             for (m2, k2), c2 in other.terms.items():
@@ -637,6 +618,23 @@ def symbol(s: Sym) -> Expr:
     return Expr({(monomial(((s, 1),)), 0): QONE}, None)
 
 
+def common_kernel(*exprs: Expr) -> Optional[Expr]:
+    """The one radical kernel of `exprs` (None when none has a radical term)."""
+    kernel = None
+    for e in exprs:
+        if not e.has_radical():
+            continue
+        if kernel is None:
+            kernel = e.radicand
+        elif e.radicand != kernel:
+            from .printer import pretty
+
+            raise KernelConflictError(
+                f"distinct radical kernels: sqrt({pretty(kernel)}) vs sqrt({pretty(e.radicand)})"
+            )
+    return kernel
+
+
 def as_expr(v) -> Expr:
     if isinstance(v, Expr):
         return v
@@ -698,13 +696,6 @@ def sqrt(p: Expr) -> Expr:
 def normalize(e: Expr) -> Expr:
     """Re-canonicalize (idempotent; Exprs are already normal by construction)."""
     return Expr._build(dict(e.terms), e.radicand)
-
-
-def expr_sum(items) -> Expr:
-    total = ZERO
-    for it in items:
-        total = total + it
-    return total
 
 
 def expr_div_exact(num: Expr, den: Expr) -> Optional[Expr]:

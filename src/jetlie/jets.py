@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Union
 
 from . import symbols as sy
-from .expr import Expr, as_expr, symbol
+from .expr import ONE, Expr, as_expr, symbol
 
 DEFAULT_MAX_ORDER = 12
 
@@ -63,7 +63,7 @@ def _rate(s: sy.Sym, direction: int, produce):
     """
     if s.kind == sy.K_VAR:
         moving = sy.X if direction == 0 else sy.T
-        return _const_one() if s == moving else None
+        return ONE if s == moving else None
     if s.kind == sy.K_JET:
         i, j = s.jet_orders
         return produce(i + (1 - direction), j + direction)
@@ -80,12 +80,6 @@ def _rate(s: sy.Sym, direction: int, produce):
             total = piece if total is None else total + piece
         return total
     return None
-
-
-def _const_one() -> Expr:
-    from .expr import ONE
-
-    return ONE
 
 
 def _total_derivative(e: Expr, direction: int, produce) -> Expr:
@@ -164,8 +158,3 @@ class Manifold:
 
     def total_dt(self, e: Expr) -> Expr:
         return _total_derivative(e, 1, self._producer())
-
-    def dx_power(self, e: Expr, n: int) -> Expr:
-        for _ in range(n):
-            e = self.total_dx(e)
-        return e

@@ -1,7 +1,13 @@
 """Exact linear algebra for determining systems.
 
-The homogeneous solver works over the fraction field of polynomials in the
-equation parameters without ever forming fractions: the core is eliminated
+`linear_solve` takes the residual columns R_1..R_n of an ansatz and solves
+sum_j c_j * R_j = 0 for the constants c_j.  It is the one place where
+expressions become matrix rows: one row per (coordinate monomial, radical
+stratum), with the parameter monomials as entries.
+
+The homogeneous solver `nullspace` works over the fraction field of
+polynomials in the equation parameters without ever forming fractions
+(Bareiss, Math. Comp. 22, 1968): the core is eliminated
 by the fraction-free Gauss-Jordan rule (cross-multiply, divide by the
 previous pivot; divisions are exact by Sylvester's identity), so entries
 stay polynomial.  Pivots that are not rational constants are reported as
@@ -24,11 +30,13 @@ from .expr import (
     Expr,
     ExprError,
     MONE,
+    ONE,
     ZERO,
+    Monomial,
     _mono_sort_key,
+    common_kernel,
     expr_div_exact,
     mono_div,
-    mono_divides,
     monomial,
 )
 from .printer import pretty
@@ -42,7 +50,7 @@ class LinearSolveError(ValueError):
 
 @dataclass
 class NullspaceResult:
-    basis: List[List[Expr]]  # each vector indexed by unknown position
+    basis: List[List[Expr]]  # each vector indexed by column position
     assumptions: List[str]
     rank: int
 
@@ -100,15 +108,6 @@ def _assumption(e: Expr) -> Optional[str]:
         return f"{pretty(prim)} != 0"
 
 
-def _expr_key(e: Optional[Expr]):
-    if e is None:
-        return None
-    return (
-        tuple(sorted(((str(m), k), str(c)) for (m, k), c in e.terms.items())),
-        _expr_key(e.radicand),
-    )
-
-
 def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
     """Basis of  {v : A v = 0}  over the parameter fraction field."""
     assumptions: List[str] = []
@@ -129,7 +128,7 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
                 assumptions.append(note)
         scaled = _scale_entries(entries)
         row = dict(zip(cols_sorted, scaled))
-        key = tuple(sorted((j, _expr_key(e)) for j, e in row.items()))
+        key = frozenset(row.items())
         if key not in seen:
             seen.add(key)
             work.append(row)
@@ -216,8 +215,6 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
 
     rank = len(pivots) + len(forced_zero)
     basis: List[List[Expr]] = []
-    from .expr import ONE
-
     for j in range(ncols):
         if j in forced_zero:
             continue
@@ -238,56 +235,42 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
 
 
 # ---------------------------------------------------------------------------
-# spec-level entry point: homogeneous systems linear in unknown constants
+# spec-level entry point: the nullspace of a list of residual columns
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LinearSolution:
-    unknowns: List[sy.Sym]
-    basis: List[Dict[sy.Sym, Expr]]
-    assumptions: List[str]
+def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
+    """Nullspace of  sum_j c_j * columns[j] = 0  over the parameter fraction field.
 
-
-def linear_solve(system: Sequence[Expr], unknowns: Sequence[sy.Sym]) -> LinearSolution:
-    """Nullspace of a system of expressions linear-homogeneous in `unknowns`.
-
-    Coefficients may involve the equation parameters; any other symbols are
-    split off by coefficient collection first.  Basis vectors come back with
-    polynomial entries in the parameters, content-normalized.
+    Every term of a column is (parameter monomial) * (coordinate monomial) *
+    R^(k/2).  Each (coordinate monomial, k) is one row of the matrix and the
+    parameter monomials are its entries.  Columns are in normal form, so their
+    radical parts may sit at different strata k; they are first multiplied by
+    powers of the common kernel R down to the lowest stratum present, so that
+    equal functions of the coordinates share a row.  Polynomial rows come
+    first, then radical rows, each in order of first appearance: `nullspace`
+    breaks pivot ties by row index.
     """
-    unknown_set = set(unknowns)
-    index = {s: i for i, s in enumerate(unknowns)}
-    rows: Dict[Tuple, Row] = {}
-    for eq_no, eq in enumerate(system):
-        if eq.is_zero():
-            continue
-        for (m, k), c in eq.terms.items():
-            hit = [(s, e) for s, e in m.powers if s in unknown_set]
-            if len(hit) != 1 or hit[0][1] != 1:
-                raise LinearSolveError(
-                    "system is not linear and homogeneous in the unknowns: "
-                    f"term {m!r}"
-                )
-            s_unknown = hit[0][0]
-            coord = tuple(
-                (s, e)
-                for s, e in m.powers
-                if s not in unknown_set and s.kind != sy.K_PARAM
-            )
-            par = tuple((s, e) for s, e in m.powers if s.kind == sy.K_PARAM)
-            key = (eq_no, coord, k)
-            slot = rows.setdefault(key, {})
-            j = index[s_unknown]
-            slot[j] = slot.get(j, ZERO) + Expr({(monomial(par), 0): c}, None)
-    ns = nullspace(list(rows.values()), len(unknowns))
-    basis = [
-        {unknowns[j]: v for j, v in enumerate(vec) if not v.is_zero()}
-        for vec in ns.basis
+    kernel = common_kernel(*columns)
+    k_min = min((k for col in columns for _m, k in col.terms if k), default=0)
+    poly_rows: Dict[Tuple, Dict[int, Dict]] = {}
+    radical_rows: Dict[Tuple, Dict[int, Dict]] = {}
+    for j, col in enumerate(columns):
+        for k, part in col.strata().items():
+            rows = poly_rows
+            if k:
+                rows = radical_rows
+                for _ in range((k - k_min) // 2):
+                    part = part * kernel
+            for (m, _k), c in part.terms.items():
+                coord = tuple(p for p in m.powers if p[0].kind != sy.K_PARAM)
+                par = Monomial(tuple(p for p in m.powers if p[0].kind == sy.K_PARAM))
+                rows.setdefault(coord, {}).setdefault(j, {})[(par, 0)] = c
+    matrix = [
+        {j: Expr(entry, None) for j, entry in row.items()}
+        for row in [*poly_rows.values(), *radical_rows.values()]
     ]
-    return LinearSolution(
-        unknowns=list(unknowns), basis=basis, assumptions=ns.assumptions
-    )
+    return nullspace(matrix, len(columns))
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,6 @@ def const(name: str) -> Sym:
     return Sym(K_CONST, (name,))
 
 
-def unknown(k: int) -> Sym:
-    return const(f"c{k}")
-
-
 def opaque(func: str, args: Tuple[Sym, ...], multi: Tuple[int, ...]) -> Sym:
     assert len(args) == len(multi) and all(m >= 0 for m in multi)
     return Sym(K_OPAQUE, (func, tuple(args), tuple(multi)))

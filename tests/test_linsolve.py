@@ -1,14 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from jetlie import expr as ex
 from jetlie import symbols as sy
 from jetlie.linsolve import (
-    LinearSolveError,
     linear_solve,
-    nullspace,
     rational_nullspace,
     rational_rref,
     rational_solve,
@@ -16,52 +12,71 @@ from jetlie.linsolve import (
 
 alpha = ex.symbol(sy.ALPHA)
 beta = ex.symbol(sy.BETA)
-c1, c2, c3 = (ex.symbol(sy.unknown(k)) for k in (1, 2, 3))
+x = ex.symbol(sy.X)
 u = ex.symbol(sy.U)
 ux = ex.symbol(sy.jet(1, 0))
 
 
+def columns(*equations):
+    """Columns of the system  sum_j eq[j] * c_j = 0, one equation per argument.
+
+    Equation i is multiplied by x^i, so distinct equations land in distinct rows.
+    """
+    return [
+        sum((ex.as_expr(eq[j]) * x ** i for i, eq in enumerate(equations)), ex.ZERO)
+        for j in range(len(equations[0]))
+    ]
+
+
+def combination(vec, cols):
+    return sum((v * col for v, col in zip(vec, cols)), ex.ZERO)
+
+
 def test_only_zero_solution():
-    sol = linear_solve([c1 + c2, c1 - c2], [sy.unknown(1), sy.unknown(2)])
+    sol = linear_solve(columns([1, 1], [1, -1]))
     assert sol.basis == []
 
 
 def test_parameter_pivot_records_assumption():
-    sol = linear_solve([beta * c1], [sy.unknown(1)])
+    sol = linear_solve([beta])
     assert sol.basis == []
     assert sol.assumptions == ["beta != 0"]
 
 
 def test_one_dimensional_nullspace():
     # c1 + c2 = 0 only
-    sol = linear_solve([c1 + c2], [sy.unknown(1), sy.unknown(2)])
+    sol = linear_solve([ex.ONE, ex.ONE])
     assert len(sol.basis) == 1
     vec = sol.basis[0]
-    assert vec[sy.unknown(1)] == -vec[sy.unknown(2)] or vec[sy.unknown(2)] == -vec[sy.unknown(1)]
+    assert vec[0] == -vec[1]
 
 
 def test_coefficient_collection_splits_coordinates():
     # (u) * c1 + (u) * c2 = 0 and (ux) * (c1 - c2) = 0 force c1 = c2 = 0
-    system = [u * c1 + u * c2 + ux * c1 - ux * c2]
-    sol = linear_solve(system, [sy.unknown(1), sy.unknown(2)])
+    sol = linear_solve([u + ux, u - ux])
     assert sol.basis == []
 
 
 def test_parameter_dependent_solution():
     # c1 + beta*c2 = 0 has the line (beta, -1) over the fraction field
-    sol = linear_solve([(c1 + beta * c2) * u], [sy.unknown(1), sy.unknown(2)])
+    sol = linear_solve([u, beta * u])
     assert len(sol.basis) == 1
     vec = sol.basis[0]
     # the vector is polynomial in beta after clearing: (beta, -1) up to sign
-    lhs = vec.get(sy.unknown(1), ex.ZERO) + beta * vec.get(sy.unknown(2), ex.ZERO)
-    assert lhs.is_zero()
+    assert (vec[0] + beta * vec[1]).is_zero()
 
 
-def test_nonlinear_rejected():
-    with pytest.raises(LinearSolveError):
-        linear_solve([c1 * c1], [sy.unknown(1)])
-    with pytest.raises(LinearSolveError):
-        linear_solve([c1 + u], [sy.unknown(1)])
+def test_radical_columns_share_the_lowest_stratum():
+    # K^(-3/2), K^(-5/2) and (1 - K) K^(-5/2) sit at two radical strata; only
+    # after moving every column to K^(-5/2) does c1 - c2 + c3 = 0 show up
+    kernel = ex.constant(2) * beta * ux ** 2 + alpha
+    root = ex.sqrt(kernel)
+    cols = [root ** -3, root ** -5, (1 - kernel) * root ** -5]
+    sol = linear_solve(cols)
+    assert len(sol.basis) == 1
+    vec = sol.basis[0]
+    assert not vec[0].is_zero() and vec[1] == -vec[0] and vec[2] == vec[0]
+    assert combination(vec, cols).is_zero()
 
 
 def test_random_systems_against_rational_oracle():
@@ -69,27 +84,14 @@ def test_random_systems_against_rational_oracle():
     for trial in range(60):
         n_unk = rng.randint(1, 5)
         n_eq = rng.randint(1, 6)
-        unknowns = [sy.unknown(k + 1) for k in range(n_unk)]
-        coeffs = {}
-        system = []
-        for i in range(n_eq):
-            eq = ex.ZERO
-            for j, s in enumerate(unknowns):
-                cval = rng.randint(-3, 3)
-                coeffs[(i, j)] = Fraction(cval)
-                eq = eq + ex.constant(cval) * ex.symbol(s)
-            system.append(eq)
-        sol = linear_solve(system, unknowns)
+        coeffs = [[Fraction(rng.randint(-3, 3)) for _ in range(n_unk)] for _ in range(n_eq)]
+        cols = columns(*coeffs)
+        sol = linear_solve(cols)
         # every basis vector must satisfy the system identically
         for vec in sol.basis:
-            for eq in system:
-                sub = eq.substitute({s: vec.get(s, ex.ZERO) for s in unknowns})
-                assert sub.is_zero()
+            assert combination(vec, cols).is_zero()
         # dimension matches the dense rational computation
-        oracle = rational_nullspace(
-            [[coeffs[(i, j)] for j in range(n_unk)] for i in range(n_eq)]
-        )
-        assert len(sol.basis) == len(oracle)
+        assert len(sol.basis) == len(rational_nullspace(coeffs))
 
 
 def test_random_parameter_systems_verify_identically():
@@ -97,23 +99,21 @@ def test_random_parameter_systems_verify_identically():
     for trial in range(40):
         n_unk = rng.randint(1, 4)
         n_eq = rng.randint(1, 4)
-        unknowns = [sy.unknown(k + 1) for k in range(n_unk)]
         system = []
         for _ in range(n_eq):
-            eq = ex.ZERO
-            for s in unknowns:
+            eq = []
+            for _ in range(n_unk):
                 c = ex.constant(rng.randint(-2, 2))
                 if rng.random() < 0.5:
                     c = c * alpha
                 if rng.random() < 0.3:
                     c = c * beta
-                eq = eq + c * ex.symbol(s)
+                eq.append(c)
             system.append(eq)
-        sol = linear_solve(system, unknowns)
+        cols = columns(*system)
+        sol = linear_solve(cols)
         for vec in sol.basis:
-            for eq in system:
-                sub = eq.substitute({s: vec.get(s, ex.ZERO) for s in unknowns})
-                assert sub.is_zero()
+            assert combination(vec, cols).is_zero()
 
 
 def test_rational_rref_and_solve():
