@@ -213,6 +213,20 @@ def _solution_block(result) -> Dict:
     }
 
 
+def _split_top_level(spec: str) -> List[str]:
+    """Split a basis list at the commas outside brackets and parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(spec):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(spec[start:i])
+            start = i + 1
+    return parts + [spec[start:]]
+
+
 def cmd_solve(args, config: RunConfig) -> Tuple[int, Dict]:
     man = config.manifold()
     spec = args.basis
@@ -299,11 +313,14 @@ def cmd_solve(args, config: RunConfig) -> Tuple[int, Dict]:
                 )
         result_block = {"scans": blocks}
     else:
+        if config.interp == "both":
+            raise CliError(
+                "--interp both applies to the order-3 and order-3-derived "
+                "scans only; a custom basis takes --interp third or cubed"
+            )
         basis = [
-            _substitute_params(apply_interp(parse(text), config.interp
-                                            if config.interp != "both" else "third"),
-                               config)
-            for text in spec.split(",")
+            _substitute_params(apply_interp(parse(text), config.interp), config)
+            for text in _split_top_level(spec)
         ]
         result = ansatz_solve(man, basis)
         result_block = _solution_block(result)

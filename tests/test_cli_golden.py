@@ -23,6 +23,8 @@ CASES = {
     "custom-poly": ["solve", "u,x*u,u^2"],
     # nullspace pivot ties, and so the order of the assumptions, follow row order
     "custom-radical": ["solve", "u*sqrt(1+u^2),x*sqrt(1+u^2),u"],
+    # the commas inside jet names do not split the basis list
+    "custom-jets": ["solve", "u[1,0],u[0,1]"],
 }
 POINTS = {"sym": [], "a1-b1_2": ["--alpha", "1", "--beta", "1/2"]}
 SUFFIX = {"text": "txt", "json": "json"}
@@ -38,6 +40,11 @@ INPUT_ERRORS = [
     (
         ["solve", "u*sqrt(1+u^2),u*sqrt(2+u^2)"],
         "error: distinct radical kernels: sqrt(u^2 + 1) vs sqrt(u^2 + 2)\n",
+    ),
+    (
+        ["--interp", "both", "solve", "u,x*u"],
+        "error: --interp both applies to the order-3 and order-3-derived scans "
+        "only; a custom basis takes --interp third or cubed\n",
     ),
 ]
 
