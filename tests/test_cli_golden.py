@@ -1,4 +1,4 @@
-"""Golden tests for `jetlie solve`: byte-exact text and JSON reports.
+"""Golden tests for every `jetlie` command: byte-exact text and JSON reports.
 
 Each case runs at symbolic parameters and at alpha=1, beta=1/2 (the
 Sakovich-Sakovich short pulse equation), in both output formats.  The
@@ -26,15 +26,42 @@ CASES = {
     # the commas inside jet names do not split the basis list
     "custom-jets": ["solve", "u[1,0],u[0,1]"],
 }
+# the radical third-order symmetry D_x(u_xx * (2*b*u_x^2 + a)^(-3/2))
+K3 = "u[3,0]*sqrt(2*b*u[1,0]^2 + a)^-3 - 6*b*u[1,0]*u[2,0]^2*sqrt(2*b*u[1,0]^2 + a)^-5"
+COMMAND_CASES = {
+    "verify-k3": ["verify", "--", K3],
+    "verify-weight3-both": ["--interp", "both", "verify", "--", "x*u[1,0] - t*u[0,1] - 3*u"],
+    "table": ["table"],
+    "adjoint": ["adjoint"],
+    "normalize-1d": ["normalize", "--", "2", "-1", "3"],
+    "normalize-1d-c3zero": ["normalize", "--", "1", "2", "0"],
+    "normalize-two": ["normalize", "--two", "1,0,0", "1,0,2"],
+    "reduce-v1v2": ["reduce", "--rep=v1+2*v2"],
+    "reduce-v3": ["reduce", "--rep=v3"],
+    "flow-v3": ["flow", "--gen", "3"],
+    "flow-combination": ["flow", "--gen=1,-2,3"],
+}
+# `verify` exits 1 when a candidate is not a symmetry
+EXIT_CODES = {"verify-weight3-both": 1}
 POINTS = {"sym": [], "a1-b1_2": ["--alpha", "1", "--beta", "1/2"]}
 SUFFIX = {"text": "txt", "json": "json"}
 
-GOLDEN_RUNS = [
-    (f"{case}.{point}.{SUFFIX[fmt]}", POINTS[point] + ["--format", fmt] + argv)
-    for case, argv in CASES.items()
-    for point in POINTS
-    for fmt in SUFFIX
-]
+
+def _golden_runs(cases):
+    return [
+        (
+            f"{case}.{point}.{SUFFIX[fmt]}",
+            POINTS[point] + ["--format", fmt] + argv,
+            EXIT_CODES.get(case, 0),
+        )
+        for case, argv in cases.items()
+        for point in POINTS
+        for fmt in SUFFIX
+    ]
+
+
+GOLDEN_RUNS = _golden_runs(CASES)
+COMMAND_RUNS = _golden_runs(COMMAND_CASES)
 
 INPUT_ERRORS = [
     (
@@ -55,11 +82,20 @@ def _run(argv, capsys):
     return code, out, err
 
 
-@pytest.mark.parametrize("name,argv", GOLDEN_RUNS, ids=[n for n, _ in GOLDEN_RUNS])
-def test_solve_golden(name, argv, capsys):
+def _check_golden(name, argv, exit_code, capsys):
     code, out, err = _run(argv, capsys)
-    assert (code, err) == (0, "")
+    assert (code, err) == (exit_code, "")
     assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name,argv,exit_code", GOLDEN_RUNS, ids=[r[0] for r in GOLDEN_RUNS])
+def test_solve_golden(name, argv, exit_code, capsys):
+    _check_golden(name, argv, exit_code, capsys)
+
+
+@pytest.mark.parametrize("name,argv,exit_code", COMMAND_RUNS, ids=[r[0] for r in COMMAND_RUNS])
+def test_command_golden(name, argv, exit_code, capsys):
+    _check_golden(name, argv, exit_code, capsys)
 
 
 @pytest.mark.parametrize("argv,stderr", INPUT_ERRORS)
@@ -73,8 +109,8 @@ if __name__ == "__main__":
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in GOLDEN_RUNS:
+    for name, argv, exit_code in GOLDEN_RUNS + COMMAND_RUNS:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(argv) == 0, argv
+            assert main(argv) == exit_code, argv
         (GOLDEN / name).write_text(buf.getvalue())
