@@ -1,6 +1,6 @@
 """Exact Lie symmetry analysis for the generalized short pulse equation."""
 
-from .expr import Expr, ExprError, KernelConflictError, constant, normalize, sqrt, symbol
+from .expr import Expr, ExprError, KernelConflictError, constant, sqrt, symbol
 from .parser import ParseError, parse
 from .printer import grammar, pretty
 
@@ -11,7 +11,6 @@ __all__ = [
     "ParseError",
     "constant",
     "grammar",
-    "normalize",
     "parse",
     "pretty",
     "sqrt",

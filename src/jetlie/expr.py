@@ -13,6 +13,7 @@ touches floating point except the explicitly-floating evaluation mode.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Tuple
@@ -38,6 +39,14 @@ class KernelConflictError(ExprError):
 
 
 class Monomial:
+    """A product of symbol powers.
+
+    Invariant: `powers` is sorted by `Sym.sort_key`, holds each symbol at most
+    once and no zero exponent, and only `K_EXP` symbols carry negative
+    exponents.  `monomial()` establishes it for arbitrary input; `mono_mul`
+    and `mono_div` rely on it to merge two power tuples in one pass.
+    """
+
     __slots__ = ("powers", "_hash")
 
     def __init__(self, powers: Tuple[Tuple[Sym, int], ...]):
@@ -90,12 +99,39 @@ def monomial(pairs: Iterable[Tuple[Sym, int]]) -> Monomial:
     return Monomial(tuple(sorted(acc.items(), key=lambda p: p[0].sort_key())))
 
 
+def _merge_powers(p1, p2, sign: int):
+    """Sorted powers of p1 * p2^sign, for two sorted power tuples."""
+    out = []
+    i = j = 0
+    n1, n2 = len(p1), len(p2)
+    while i < n1 and j < n2:
+        a = p1[i]
+        b = p2[j]
+        ka = a[0]._key
+        kb = b[0]._key
+        if ka < kb:
+            out.append(a)
+            i += 1
+        elif kb < ka:
+            out.append(b if sign > 0 else (b[0], -b[1]))
+            j += 1
+        else:
+            e = a[1] + sign * b[1]
+            if e:
+                out.append((a[0], e))
+            i += 1
+            j += 1
+    out.extend(p1[i:])
+    out.extend(p2[j:] if sign > 0 else ((s, -e) for s, e in p2[j:]))
+    return tuple(out)
+
+
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1.powers:
         return m2
     if not m2.powers:
         return m1
-    return monomial(m1.powers + m2.powers)
+    return Monomial(_merge_powers(m1.powers, m2.powers, 1))
 
 
 def mono_divides(d: Monomial, m: Monomial) -> bool:
@@ -103,7 +139,14 @@ def mono_divides(d: Monomial, m: Monomial) -> bool:
 
 
 def mono_div(m: Monomial, d: Monomial) -> Monomial:
-    return monomial(m.powers + tuple((s, -e) for s, e in d.powers))
+    powers = _merge_powers(m.powers, d.powers, -1)
+    bad = [s for s, e in powers if e < 0 and not allows_negative_power(s)]
+    if bad:
+        # name the symbol `monomial()` would: those of m first, then those of d
+        in_m = {s for s, _ in m.powers}
+        first = next((s for s in bad if s in in_m), bad[0])
+        raise ExprError(f"negative exponent on {first.pretty()}")
+    return Monomial(powers)
 
 
 def mono_cmp(m1: Monomial, m2: Monomial) -> int:
@@ -132,10 +175,7 @@ def mono_cmp(m1: Monomial, m2: Monomial) -> int:
     return 0
 
 
-def _mono_sort_key(m: Monomial):
-    import functools
-
-    return functools.cmp_to_key(mono_cmp)(m)
+_mono_sort_key = functools.cmp_to_key(mono_cmp)
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +185,29 @@ def _mono_sort_key(m: Monomial):
 Poly = Dict[Monomial, Fraction]
 
 
-def _padd_into(acc: Poly, p: Poly, scale: Fraction = QONE):
-    for m, c in p.items():
-        v = acc.get(m, QZERO) + c * scale
+def _accumulate(acc: dict, key, c: Fraction):
+    """acc[key] += c for a nonzero c, dropping the key when the sum vanishes."""
+    v = acc.get(key)
+    if v is None:
+        acc[key] = c
+    else:
+        v += c
         if v:
-            acc[m] = v
+            acc[key] = v
         else:
-            acc.pop(m, None)
+            del acc[key]
+
+
+def _padd_into(acc: Poly, p: Poly):
+    for m, c in p.items():
+        _accumulate(acc, m, c)
 
 
 def _pmul(p1: Poly, p2: Poly) -> Poly:
     acc: Poly = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
-            m = mono_mul(m1, m2)
-            v = acc.get(m, QZERO) + c1 * c2
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
+            _accumulate(acc, mono_mul(m1, m2), c1 * c2)
     return acc
 
 
@@ -187,12 +231,7 @@ def _pdiv_exact(num: Poly, den: Poly) -> Optional[Poly]:
         qc = rem[rl] / lead_c
         quot[qm] = quot.get(qm, QZERO) + qc
         for m, c in den.items():
-            mm = mono_mul(qm, m)
-            v = rem.get(mm, QZERO) - qc * c
-            if v:
-                rem[mm] = v
-            else:
-                rem.pop(mm, None)
+            _accumulate(rem, mono_mul(qm, m), -qc * c)
     return quot
 
 
@@ -234,34 +273,33 @@ class Expr:
 
     @staticmethod
     def _build(terms: Dict[TermKey, Fraction], radicand: "Optional[Expr]") -> "Expr":
-        terms = {k: c for k, c in terms.items() if c}
+        terms = {key: c for key, c in terms.items() if c}
+        if not any(k for _, k in terms):
+            return Expr(terms, None)
+        # the keys (m, k) are unique, so each stratum takes its terms as they are
         poly: Poly = {}
         strata: Dict[int, Poly] = {}
         for (m, k), c in terms.items():
             if k == 0:
-                poly[m] = poly.get(m, QZERO) + c
+                poly[m] = c
             else:
-                strata.setdefault(k, {})[m] = strata.setdefault(k, {}).get(m, QZERO) + c
-        poly = {m: c for m, c in poly.items() if c}
+                strata.setdefault(k, {})[m] = c
 
-        if strata:
-            if radicand is None or radicand.is_zero():
-                raise ExprError("radical power without a radical kernel")
-            rad_poly = radicand._poly()
-            # fold even powers of the kernel into the polynomial part
-            for k in sorted(strata):
-                if k % 2 == 0:
-                    if k < 0:
-                        raise ExprError(
-                            "integer negative power of the radical kernel is "
-                            "not representable; multiply through by the kernel"
-                        )
-                    piece = strata.pop(k)
-                    for _ in range(k // 2):
-                        piece = _pmul(piece, rad_poly)
-                    _padd_into(poly, piece)
-            strata = {k: {m: c for m, c in p.items() if c} for k, p in strata.items()}
-            strata = {k: p for k, p in strata.items() if p}
+        if radicand is None or radicand.is_zero():
+            raise ExprError("radical power without a radical kernel")
+        rad_poly = radicand._poly()
+        # fold even powers of the kernel into the polynomial part
+        for k in sorted(strata):
+            if k % 2 == 0:
+                if k < 0:
+                    raise ExprError(
+                        "integer negative power of the radical kernel is "
+                        "not representable; multiply through by the kernel"
+                    )
+                piece = strata.pop(k)
+                for _ in range(k // 2):
+                    piece = _pmul(piece, rad_poly)
+                _padd_into(poly, piece)
 
         if strata:
             m_min = min(strata)
@@ -354,11 +392,7 @@ class Expr:
         rad = common_kernel(self, other)
         acc = dict(self.terms)
         for key, c in other.terms.items():
-            v = acc.get(key, QZERO) + c
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
+            _accumulate(acc, key, c)
         return Expr._build(acc, rad)
 
     __radd__ = __add__
@@ -380,12 +414,7 @@ class Expr:
         acc: Dict[TermKey, Fraction] = {}
         for (m1, k1), c1 in self.terms.items():
             for (m2, k2), c2 in other.terms.items():
-                key = (mono_mul(m1, m2), k1 + k2)
-                v = acc.get(key, QZERO) + c1 * c2
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
+                _accumulate(acc, (mono_mul(m1, m2), k1 + k2), c1 * c2)
         return Expr._build(acc, rad)
 
     __rmul__ = __mul__
@@ -431,27 +460,23 @@ class Expr:
     def diff_atom(self, s: Sym) -> "Expr":
         """Partial derivative treating every symbol as an independent atom."""
         acc: Dict[TermKey, Fraction] = {}
-
-        def add(key, c):
-            v = acc.get(key, QZERO) + c
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-
         rad_diff = None
         if self.radicand is not None:
             rad_diff = self.radicand.diff(s)
 
         for (m, k), c in self.terms.items():
-            e = m.exponent(s)
-            if e:
-                add((monomial(m.powers + ((s, -1),)), k), c * e)
+            p = m.powers
+            for i, (sym, e) in enumerate(p):
+                if sym is s or sym._key == s._key:
+                    # lower the exponent in place; the order stays sorted
+                    lowered = ((sym, e - 1),) if e != 1 else ()
+                    _accumulate(acc, (Monomial(p[:i] + lowered + p[i + 1:]), k), c * e)
+                    break
             if k != 0 and rad_diff is not None and not rad_diff.is_zero():
                 half_k = Fraction(k, 2)
                 for (mr, kr), cr in rad_diff.terms.items():
                     assert kr == 0
-                    add((mono_mul(m, mr), k - 2), c * cr * half_k)
+                    _accumulate(acc, (mono_mul(m, mr), k - 2), c * cr * half_k)
         return Expr._build(acc, self.radicand)
 
     # -- substitution --------------------------------------------------------------
@@ -470,7 +495,7 @@ class Expr:
                 raise ExprError("substitution sends the radical kernel to zero")
             sq, new_rad = _extract_square_content(rad_sub)
             for k in {k for (_, k) in self.terms if k}:
-                scale_by_stratum[k] = _rational_sqrt_power(sq, k)
+                scale_by_stratum[k] = constant(sq ** k)
 
         total = ZERO
         for (m, k), c in self.terms.items():
@@ -658,11 +683,6 @@ def _extract_square_content(p: Expr) -> Tuple[Fraction, Expr]:
     return s, p.scale(1 / (s * s))
 
 
-def _rational_sqrt_power(s: Fraction, k: int) -> Expr:
-    """(s)^k as an exact rational expression, s > 0 rational, k odd or any int."""
-    return constant(s ** k)
-
-
 def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
     if q < 0:
         return None
@@ -691,11 +711,6 @@ def sqrt(p: Expr) -> Expr:
             return constant(root)
     s, kernel = _extract_square_content(p)
     return Expr._build({(MONE, 1): s}, kernel)
-
-
-def normalize(e: Expr) -> Expr:
-    """Re-canonicalize (idempotent; Exprs are already normal by construction)."""
-    return Expr._build(dict(e.terms), e.radicand)
 
 
 def expr_div_exact(num: Expr, den: Expr) -> Optional[Expr]:

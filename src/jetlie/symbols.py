@@ -8,7 +8,7 @@ everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Tuple
 
@@ -23,16 +23,33 @@ K_EPS = 6  # group parameters
 K_EXP = 7  # exp(group parameter); the only kind allowed negative exponents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym:
+    """A symbol, identified by (kind, data).
+
+    The sort key and the hash are computed once, at construction; the hash
+    equals hash((kind, data)), the value of a plain frozen dataclass, so the
+    iteration order of symbol sets does not depend on the caching.
+    """
+
     kind: int
     data: tuple
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = (self.kind, self.data)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
-        return (self.kind, self.data)
+        return self._key
 
     def __lt__(self, other: "Sym"):
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     # -- structured accessors ------------------------------------------------
 

@@ -137,12 +137,6 @@ def test_eval_errors():
     ) == pytest.approx(2 ** 0.5)
 
 
-def test_normalize_idempotent():
-    e = (u + ux) * (u - ux) + beta * ex.sqrt(kernel())
-    assert ex.normalize(e) == e
-    assert ex.normalize(ex.normalize(e)) == e
-
-
 def test_primitive_and_content():
     e = 4 * beta * u ** 2 * ux + 2 * beta * u ** 3
     rat, mono = e.content()
