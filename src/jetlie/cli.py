@@ -607,8 +607,12 @@ def cmd_flow(args, config: RunConfig) -> Tuple[int, Dict]:
         idx = int(args.gen) - 1
         field = fields[idx]
         label = f"v{args.gen}"
+    elif "," not in args.gen:
+        raise CliError(f"generator index must be 1, 2 or 3, not {args.gen!r}")
     else:
         vec = _parse_vec(args.gen)
+        if not any(vec):
+            raise CliError("the zero combination generates no flow")
         field = PointVectorField(
             xi=sum((constant(c) * f.xi for c, f in zip(vec, fields)), ZERO),
             tau=sum((constant(c) * f.tau for c, f in zip(vec, fields)), ZERO),

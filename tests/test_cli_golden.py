@@ -75,6 +75,12 @@ INPUT_ERRORS = [
     ),
 ]
 
+FLOW_INPUT_ERRORS = [
+    (["flow", "--gen", "4"], "error: generator index must be 1, 2 or 3, not '4'\n"),
+    (["flow", "--gen", "0"], "error: generator index must be 1, 2 or 3, not '0'\n"),
+    (["flow", "--gen=0,0,0"], "error: the zero combination generates no flow\n"),
+]
+
 
 def _run(argv, capsys):
     code = main(argv)
@@ -100,6 +106,12 @@ def test_command_golden(name, argv, exit_code, capsys):
 
 @pytest.mark.parametrize("argv,stderr", INPUT_ERRORS)
 def test_solve_input_error(argv, stderr, capsys):
+    code, out, err = _run(argv, capsys)
+    assert (code, out, err) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("argv,stderr", FLOW_INPUT_ERRORS, ids=["index-4", "index-0", "zero-vector"])
+def test_flow_input_error(argv, stderr, capsys):
     code, out, err = _run(argv, capsys)
     assert (code, out, err) == (2, "", stderr)
 
