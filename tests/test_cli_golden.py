@@ -18,6 +18,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "point-affine": ["solve", "point-affine"],
+    # the bounded order-2 scan; at sym its assumptions come in row order
+    "order-2": ["solve", "order-2"],
     "order-3-both": ["--interp", "both", "solve", "order-3"],
     "order-3-derived": ["solve", "order-3-derived"],
     "custom-poly": ["solve", "u,x*u,u^2"],

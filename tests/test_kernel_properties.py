@@ -3,8 +3,11 @@
 `mono_mul` and `mono_div` merge sorted power tuples; they must agree with
 `monomial()`, the validating constructor, on every symbol kind.  `Expr`
 arithmetic must satisfy the ring laws and `diff_atom` the Leibniz rule, on
-polynomials and on expressions over one radical kernel.  `Sym` caches its
-hash and sort key, which must not depend on how a symbol was built.
+polynomials and on expressions over one radical kernel.  An `Expr` carries a
+radicand exactly when it has a radical term, which `has_radical` relies on,
+and a product with a single-term factor must build the same dict, in the
+same order, as the general accumulation loop.  `Sym` caches its hash and
+sort key, which must not depend on how a symbol was built.
 """
 
 from fractions import Fraction
@@ -187,6 +190,58 @@ def test_diff_atom_lowers_the_exponent():
     assert (x ** 2 * u).diff_atom(sy.X) == ex.constant(2) * x * u
     assert x.diff_atom(sy.X) == ex.ONE
     assert (x * u).diff_atom(sy.U) == x
+
+
+@EXPR_SETTINGS
+@given(exprs, exprs, st.sampled_from(ATOMS + [sy.BETA]), coefficients.filter(bool))
+def test_radicand_present_iff_radical_term(a, b, s, c):
+    results = [
+        a + b,
+        a * b,
+        a - b,
+        -a,
+        a.diff_atom(s),
+        a.scale(c),
+        a.primitive(),
+        a.substitute({sy.X: b}),
+    ]
+    for e in results:
+        assert e.has_radical() == (e.radicand is not None)
+        assert e.has_radical() == any(k for _m, k in e.terms)
+
+
+def _reference_mul(a, b):
+    """a * b by the general accumulation loop, keeping its insertion order."""
+    acc = {}
+    for (m1, k1), c1 in a.terms.items():
+        for (m2, k2), c2 in b.terms.items():
+            key = (mono_mul(m1, m2), k1 + k2)
+            total = acc.get(key, 0) + c1 * c2
+            if total:
+                acc[key] = total
+            else:
+                acc.pop(key, None)
+    return ex.Expr._build(acc, ex.common_kernel(a, b))
+
+
+# one term c * m * R^(k/2); k stays nonnegative so every product is representable
+single_terms = st.tuples(
+    coefficients.filter(bool),
+    st.lists(st.tuples(st.sampled_from(ATOMS + [sy.BETA]), st.integers(1, 2)), max_size=3),
+    st.sampled_from([0, 1, 3]),
+).map(lambda t: ex.constant(t[0]) * ex.Expr({(monomial(t[1]), 0): Fraction(1)}, None) * ROOT ** t[2])
+
+
+@EXPR_SETTINGS
+@given(single_terms, exprs)
+def test_single_term_product_matches_the_accumulation_loop(a, b):
+    assert len(a.terms) == 1
+    for left, right in ((a, b), (b, a)):
+        product = left * right
+        expected = _reference_mul(left, right)
+        assert product == expected
+        assert list(product.terms) == list(expected.terms)
+        assert product.radicand == expected.radicand
 
 
 # -- cached Sym hash and sort key ---------------------------------------------------
