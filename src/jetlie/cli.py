@@ -445,22 +445,29 @@ def cmd_adjoint(args, config: RunConfig) -> Tuple[int, Dict]:
     return 0, report
 
 
-def _parse_vec(text: str) -> Tuple[Fraction, Fraction, Fraction]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise CliError("coefficient vectors need exactly three entries")
+def _parse_entries(parts: Sequence[str], text: str) -> Tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(p) for p in parts)
+        return tuple(Fraction(p.strip()) for p in parts)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad coefficient vector {text!r}")
 
 
+def _parse_vec(text: str) -> Tuple[Fraction, Fraction, Fraction]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise CliError("coefficient vectors need exactly three entries")
+    return _parse_entries(parts, text)
+
+
 def cmd_normalize(args, config: RunConfig) -> Tuple[int, Dict]:
+    if args.two:
+        pair = [_parse_vec(t) for t in args.two]
+    else:
+        vec = _parse_entries(args.coefficients, " ".join(args.coefficients))
     man = config.manifold()
     _algebra, table = _derived_table(man)
     claim_rows: List[Dict] = []
     if args.two:
-        pair = [_parse_vec(t) for t in args.two]
         try:
             r = normalize_2d(table, pair[0], pair[1])
         except SubalgebraError as err:
@@ -492,7 +499,6 @@ def cmd_normalize(args, config: RunConfig) -> Tuple[int, Dict]:
             }
         )
     else:
-        vec = tuple(Fraction(v) for v in args.coefficients)
         r = normalize_1d(table, vec)
         result = {
             "mode": "1d",

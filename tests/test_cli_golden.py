@@ -83,6 +83,16 @@ FLOW_INPUT_ERRORS = [
     (["flow", "--gen=0,0,0"], "error: the zero combination generates no flow\n"),
 ]
 
+COMMAND_INPUT_ERRORS = [
+    (["normalize", "1", "2", "x"], "error: bad coefficient vector '1 2 x'\n"),
+    (["normalize", "--", "1", "2", "1/0"], "error: bad coefficient vector '1 2 1/0'\n"),
+    (
+        ["reduce", "--rep=garbage"],
+        "error: unsupported representative 'garbage'; expected v1+a*v2, b*v1+v2 or v3\n",
+    ),
+    (["verify", "--", "u["], "error: expected a nonnegative integer (line 1, column 3)\n"),
+]
+
 
 def _run(argv, capsys):
     code = main(argv)
@@ -114,6 +124,16 @@ def test_solve_input_error(argv, stderr, capsys):
 
 @pytest.mark.parametrize("argv,stderr", FLOW_INPUT_ERRORS, ids=["index-4", "index-0", "zero-vector"])
 def test_flow_input_error(argv, stderr, capsys):
+    code, out, err = _run(argv, capsys)
+    assert (code, out, err) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "argv,stderr",
+    COMMAND_INPUT_ERRORS,
+    ids=["normalize-symbol", "normalize-zero-denominator", "reduce-rep", "verify-parse"],
+)
+def test_command_input_error(argv, stderr, capsys):
     code, out, err = _run(argv, capsys)
     assert (code, out, err) == (2, "", stderr)
 
