@@ -139,6 +139,8 @@ def mono_divides(d: Monomial, m: Monomial) -> bool:
 
 
 def mono_div(m: Monomial, d: Monomial) -> Monomial:
+    if not d.powers:
+        return m
     powers = _merge_powers(m.powers, d.powers, -1)
     bad = [s for s, e in powers if e < 0 and not allows_negative_power(s)]
     if bad:
@@ -273,7 +275,7 @@ class Expr:
 
     @staticmethod
     def _build(terms: Dict[TermKey, Fraction], radicand: "Optional[Expr]") -> "Expr":
-        terms = {key: c for key, c in terms.items() if c}
+        """The normal form of zero-free `terms`; the result owns the dict."""
         if not any(k for _, k in terms):
             return Expr(terms, None)
         # the keys (m, k) are unique, so each stratum takes its terms as they are
@@ -365,7 +367,8 @@ class Expr:
         return out
 
     def has_radical(self) -> bool:
-        return any(k for (_, k) in self.terms)
+        # `_build` attaches a radicand only to expressions with a radical term
+        return self.radicand is not None and any(k for (_, k) in self.terms)
 
     def as_fraction(self) -> Fraction:
         if not self.terms:
@@ -378,6 +381,8 @@ class Expr:
 
     def strata(self) -> Dict[int, "Expr"]:
         """Split into radical strata: {k: pure polynomial P_k}, e = sum P_k R^(k/2)."""
+        if self.radicand is None:
+            return {0: self} if self.terms else {}
         out: Dict[int, Poly] = {}
         for (m, k), c in self.terms.items():
             out.setdefault(k, {})[m] = c
@@ -411,9 +416,14 @@ class Expr:
         if not self.terms or not other.terms:
             return ZERO
         rad = common_kernel(self, other)
-        acc: Dict[TermKey, Fraction] = {}
-        for (m1, k1), c1 in self.terms.items():
-            for (m2, k2), c2 in other.terms.items():
+        t1, t2 = self.terms.items(), other.terms.items()
+        if len(t1) == 1 or len(t2) == 1:
+            # multiplying by one term is injective, so no two products collide
+            acc = {(mono_mul(m1, m2), k1 + k2): c1 * c2 for (m1, k1), c1 in t1 for (m2, k2), c2 in t2}
+            return Expr._build(acc, rad)
+        acc = {}
+        for (m1, k1), c1 in t1:
+            for (m2, k2), c2 in t2:
                 _accumulate(acc, (mono_mul(m1, m2), k1 + k2), c1 * c2)
         return Expr._build(acc, rad)
 

@@ -3,11 +3,14 @@
 `linear_solve` takes the residual columns R_1..R_n of an ansatz and solves
 sum_j c_j * R_j = 0 for the constants c_j.  It is the one place where
 expressions become matrix rows: one row per (coordinate monomial, radical
-stratum), with the parameter monomials as entries.
+stratum), with the parameter monomials as entries.  Rows are raw
+`{column: {(parameter monomial, 0): coefficient}}` dicts.
 
 The homogeneous solver `nullspace` works over the fraction field of
 polynomials in the equation parameters without ever forming fractions
-(Bareiss, Math. Comp. 22, 1968): the core is eliminated
+(Bareiss, Math. Comp. 22, 1968).  `_normalize` divides each row, and each
+basis vector, by its content in one integer pass; only rows that survive
+dedup become `Expr`s.  The core is eliminated
 by the fraction-free Gauss-Jordan rule (cross-multiply, divide by the
 previous pivot; divisions are exact by Sylvester's identity), so entries
 stay polynomial.  Pivots that are not rational constants are reported as
@@ -33,15 +36,16 @@ from .expr import (
     ONE,
     ZERO,
     Monomial,
+    TermKey,
     _mono_sort_key,
     common_kernel,
     expr_div_exact,
     mono_div,
-    monomial,
 )
 from .printer import pretty
 
-Row = Dict[int, Expr]
+Entry = Dict[TermKey, Fraction]  # {(parameter monomial, 0): nonzero coefficient}
+Row = Dict[int, Entry]
 
 
 class LinearSolveError(ValueError):
@@ -55,48 +59,40 @@ class NullspaceResult:
     rank: int
 
 
-def _combined_content(entries: Sequence[Expr]):
-    """(rational, monomial) content over every term of every entry."""
+def _normalize(entries: Sequence[Entry]) -> Tuple[Monomial, List[Dict[TermKey, int]]]:
+    """(content monomial, entries / content) for nonzero entries in column order.
+
+    The content is gcd(numerators)/lcm(denominators) times the monomial shared
+    by every term, signed to make the first entry's lead positive; so each
+    scaled coefficient n/d is the integer sign*(n/num)*(den/d).
+    """
     num, den = 0, 1
-    shared: Optional[Dict] = None
-    for e in entries:
-        for (m, _k), c in e.terms.items():
+    shared: Optional[Monomial] = None
+    for entry in entries:
+        for (m, _k), c in entry.items():
             num = math.gcd(num, c.numerator)
             den = math.lcm(den, c.denominator)
-            cur = {s: x for s, x in m.powers if x > 0}
             if shared is None:
-                shared = cur
-            else:
-                shared = {s: min(x, cur[s]) for s, x in shared.items() if s in cur}
-    if num == 0:
-        return Fraction(1), MONE
-    return Fraction(num, den), monomial(tuple((shared or {}).items()))
+                shared = m
+            elif shared.powers and m != shared:
+                cur = dict(m.powers)
+                shared = Monomial(tuple((s, min(e, cur[s])) for s, e in shared.powers if s in cur))
+    first = entries[0]
+    lead = next(iter(first)) if len(first) == 1 else max(
+        first, key=lambda key: (_mono_sort_key(key[0]), key[1]))
+    if first[lead] < 0:
+        num = -num
+    return shared, [
+        {
+            (MONE if m is shared else mono_div(m, shared), k): c.numerator // num * (den // c.denominator)
+            for (m, k), c in entry.items()
+        }
+        for entry in entries
+    ]
 
 
-def _lead_sign(e: Expr) -> int:
-    lead = max(e.terms, key=lambda key: (_mono_sort_key(key[0]), key[1]))
-    return 1 if e.terms[lead] > 0 else -1
-
-
-def _scale_entries(entries: Sequence[Expr]) -> List[Expr]:
-    """Divide a row/vector by its combined content; make the lead positive."""
-    nonzero = [e for e in entries if not e.is_zero()]
-    if not nonzero:
-        return list(entries)
-    rat, mono = _combined_content(nonzero)
-    sign = _lead_sign(nonzero[0])
-    out = []
-    for e in entries:
-        if e.is_zero():
-            out.append(e)
-            continue
-        out.append(
-            Expr(
-                {(mono_div(m, mono), k): c * sign / rat for (m, k), c in e.terms.items()},
-                e.radicand,
-            )
-        )
-    return out
+def _entry(scaled: Dict[TermKey, int]) -> Expr:
+    return Expr({key: Fraction(c) for key, c in scaled.items()}, None)
 
 
 def _assumption(e: Expr) -> Optional[str]:
@@ -113,25 +109,19 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
     assumptions: List[str] = []
     forced_zero: set = set()
 
-    work: List[Row] = []
+    work: List[Dict[int, Expr]] = []
     seen = set()
     for row in rows:
-        row = {j: e for j, e in row.items() if not e.is_zero()}
-        if not row:
-            continue
-        cols_sorted = sorted(row)
-        entries = [row[j] for j in cols_sorted]
-        _, content_mono = _combined_content(entries)
-        for s in content_mono.symbols():
+        cols = sorted(row)
+        content, scaled = _normalize([row[j] for j in cols])
+        for s in content.symbols():
             note = f"{s.pretty()} != 0"
             if note not in assumptions:
                 assumptions.append(note)
-        scaled = _scale_entries(entries)
-        row = dict(zip(cols_sorted, scaled))
-        key = frozenset(row.items())
+        key = tuple((j, frozenset(entry.items())) for j, entry in zip(cols, scaled))
         if key not in seen:
             seen.add(key)
-            work.append(row)
+            work.append({j: _entry(entry) for j, entry in zip(cols, scaled)})
 
     # propagate single-entry rows: coeff * c_j = 0 forces c_j = 0
     changed = True
@@ -230,7 +220,11 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
                 entry = mat[pr][cj]
                 if not entry.is_zero():
                     vec[cols[pc]] = -entry
-        basis.append(_scale_entries(vec))
+        nonzero = [j for j, e in enumerate(vec) if e]
+        _, scaled = _normalize([vec[j].terms for j in nonzero])
+        for j, entry in zip(nonzero, scaled):
+            vec[j] = _entry(entry)
+        basis.append(vec)
     return NullspaceResult(basis=basis, assumptions=assumptions, rank=rank)
 
 
@@ -253,8 +247,9 @@ def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
     """
     kernel = common_kernel(*columns)
     k_min = min((k for col in columns for _m, k in col.terms if k), default=0)
-    poly_rows: Dict[Tuple, Dict[int, Dict]] = {}
-    radical_rows: Dict[Tuple, Dict[int, Dict]] = {}
+    split: Dict[Monomial, Tuple[Tuple, TermKey]] = {}
+    poly_rows: Dict[Tuple, Row] = {}
+    radical_rows: Dict[Tuple, Row] = {}
     for j, col in enumerate(columns):
         for k, part in col.strata().items():
             rows = poly_rows
@@ -263,14 +258,13 @@ def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
                 for _ in range((k - k_min) // 2):
                     part = part * kernel
             for (m, _k), c in part.terms.items():
-                coord = tuple(p for p in m.powers if p[0].kind != sy.K_PARAM)
-                par = Monomial(tuple(p for p in m.powers if p[0].kind == sy.K_PARAM))
-                rows.setdefault(coord, {}).setdefault(j, {})[(par, 0)] = c
-    matrix = [
-        {j: Expr(entry, None) for j, entry in row.items()}
-        for row in [*poly_rows.values(), *radical_rows.values()]
-    ]
-    return nullspace(matrix, len(columns))
+                parts = split.get(m)
+                if parts is None:
+                    coord = tuple(p for p in m.powers if p[0].kind != sy.K_PARAM)
+                    par = Monomial(tuple(p for p in m.powers if p[0].kind == sy.K_PARAM))
+                    parts = split[m] = (coord, (par, 0))
+                rows.setdefault(parts[0], {}).setdefault(j, {})[parts[1]] = c
+    return nullspace([*poly_rows.values(), *radical_rows.values()], len(columns))
 
 
 # ---------------------------------------------------------------------------
