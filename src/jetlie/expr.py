@@ -139,8 +139,6 @@ def mono_divides(d: Monomial, m: Monomial) -> bool:
 
 
 def mono_div(m: Monomial, d: Monomial) -> Monomial:
-    if not d.powers:
-        return m
     powers = _merge_powers(m.powers, d.powers, -1)
     bad = [s for s, e in powers if e < 0 and not allows_negative_power(s)]
     if bad:
@@ -381,8 +379,6 @@ class Expr:
 
     def strata(self) -> Dict[int, "Expr"]:
         """Split into radical strata: {k: pure polynomial P_k}, e = sum P_k R^(k/2)."""
-        if self.radicand is None:
-            return {0: self} if self.terms else {}
         out: Dict[int, Poly] = {}
         for (m, k), c in self.terms.items():
             out.setdefault(k, {})[m] = c
@@ -416,14 +412,9 @@ class Expr:
         if not self.terms or not other.terms:
             return ZERO
         rad = common_kernel(self, other)
-        t1, t2 = self.terms.items(), other.terms.items()
-        if len(t1) == 1 or len(t2) == 1:
-            # multiplying by one term is injective, so no two products collide
-            acc = {(mono_mul(m1, m2), k1 + k2): c1 * c2 for (m1, k1), c1 in t1 for (m2, k2), c2 in t2}
-            return Expr._build(acc, rad)
-        acc = {}
-        for (m1, k1), c1 in t1:
-            for (m2, k2), c2 in t2:
+        acc: Dict[TermKey, Fraction] = {}
+        for (m1, k1), c1 in self.terms.items():
+            for (m2, k2), c2 in other.terms.items():
                 _accumulate(acc, (mono_mul(m1, m2), k1 + k2), c1 * c2)
         return Expr._build(acc, rad)
 

@@ -10,11 +10,11 @@ The homogeneous solver `nullspace` works over the fraction field of
 polynomials in the equation parameters without ever forming fractions
 (Bareiss, Math. Comp. 22, 1968).  `_normalize` divides each row, and each
 basis vector, by its content in one integer pass; only rows that survive
-dedup become `Expr`s.  The core is eliminated
-by the fraction-free Gauss-Jordan rule (cross-multiply, divide by the
-previous pivot; divisions are exact by Sylvester's identity), so entries
-stay polynomial.  Pivots that are not rational constants are reported as
-nonvanishing assumptions instead of case-splitting.
+dedup become `Expr`s.  The core is eliminated by the fraction-free
+Gauss-Jordan rule (cross-multiply, divide by the previous pivot; divisions
+are exact by Sylvester's identity), so entries stay polynomial.  Pivots
+that are not rational constants are reported as nonvanishing assumptions
+instead of case-splitting.
 
 A small dense `Fraction` toolkit (rref / solve / nullspace) backs
 structure-constant decompositions and canonical presentation of solution
@@ -105,7 +105,11 @@ def _assumption(e: Expr) -> Optional[str]:
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
-    """Basis of  {v : A v = 0}  over the parameter fraction field."""
+    """Basis of  {v : A v = 0}  over the parameter fraction field.
+
+    Each row is a nonempty raw `Row`: every entry a nonempty dict of nonzero
+    coefficients, as `linear_solve` builds them.
+    """
     assumptions: List[str] = []
     forced_zero: set = set()
 
@@ -220,10 +224,10 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
                 entry = mat[pr][cj]
                 if not entry.is_zero():
                     vec[cols[pc]] = -entry
-        nonzero = [j for j, e in enumerate(vec) if e]
-        _, scaled = _normalize([vec[j].terms for j in nonzero])
-        for j, entry in zip(nonzero, scaled):
-            vec[j] = _entry(entry)
+        nonzero = [i for i, e in enumerate(vec) if e]
+        _, scaled = _normalize([vec[i].terms for i in nonzero])
+        for i, entry in zip(nonzero, scaled):
+            vec[i] = _entry(entry)
         basis.append(vec)
     return NullspaceResult(basis=basis, assumptions=assumptions, rank=rank)
 
@@ -247,7 +251,6 @@ def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
     """
     kernel = common_kernel(*columns)
     k_min = min((k for col in columns for _m, k in col.terms if k), default=0)
-    split: Dict[Monomial, Tuple[Tuple, TermKey]] = {}
     poly_rows: Dict[Tuple, Row] = {}
     radical_rows: Dict[Tuple, Row] = {}
     for j, col in enumerate(columns):
@@ -258,12 +261,9 @@ def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
                 for _ in range((k - k_min) // 2):
                     part = part * kernel
             for (m, _k), c in part.terms.items():
-                parts = split.get(m)
-                if parts is None:
-                    coord = tuple(p for p in m.powers if p[0].kind != sy.K_PARAM)
-                    par = Monomial(tuple(p for p in m.powers if p[0].kind == sy.K_PARAM))
-                    parts = split[m] = (coord, (par, 0))
-                rows.setdefault(parts[0], {}).setdefault(j, {})[parts[1]] = c
+                coord = tuple(p for p in m.powers if p[0].kind != sy.K_PARAM)
+                par = Monomial(tuple(p for p in m.powers if p[0].kind == sy.K_PARAM))
+                rows.setdefault(coord, {}).setdefault(j, {})[(par, 0)] = c
     return nullspace([*poly_rows.values(), *radical_rows.values()], len(columns))
 
 
