@@ -731,6 +731,11 @@ def build_parser() -> argparse.ArgumentParser:
             "Exact Lie symmetry analysis and claim verification for the "
             "generalized short pulse equation u_xt = a*u + (b/3)*(u^3)_xx"
         ),
+        epilog=(
+            "The value of --alpha, --beta, --rep or --gen may start with '-' "
+            "(--alpha -5/2, --gen -1,2,3).  A positional argument that starts "
+            "with '-' needs '--' before it: verify -- -3*u, normalize -- -1/2 1 0."
+        ),
     )
     parser.add_argument("--alpha", default="sym", help="'sym' or a nonzero rational")
     parser.add_argument("--beta", default="sym", help="'sym' or a nonzero rational")
@@ -782,9 +787,26 @@ _COMMANDS = {
 }
 
 
+# argparse reads a value that starts with '-' as an option
+_SIGNED_VALUE_OPTIONS = ("--alpha", "--beta", "--rep", "--gen")
+
+
+def _attach_signed_values(argv: Sequence[str]) -> List[str]:
+    """`--alpha -5/2` as `--alpha=-5/2`, for the options above and up to `--`."""
+    out: List[str] = []
+    rest = list(argv)
+    while rest and rest[0] != "--":
+        arg = rest.pop(0)
+        value = rest[0] if rest else ""
+        if arg in _SIGNED_VALUE_OPTIONS and value.startswith("-") and not value.startswith("--"):
+            arg = f"{arg}={rest.pop(0)}"
+        out.append(arg)
+    return out + rest
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     config = RunConfig(
         alpha=args.alpha,
         beta=args.beta,

@@ -162,7 +162,7 @@ def opaque_q(arity: Sequence[sy.Sym], multi: Optional[Sequence[int]] = None) -> 
 
 def _parameter_strata(e: Expr, params: Tuple[sy.Sym, ...]) -> List[Expr]:
     groups = e.collect(lambda s: s in params)
-    return [coeff * Expr({(mono, 0): Fraction(1)}, None) for mono, coeff in groups.items()]
+    return [coeff * Expr({(mono, 0): 1}, None) for mono, coeff in groups.items()]
 
 
 def _single_opaque_collapse(e: Expr) -> Expr:
@@ -451,7 +451,7 @@ def jet_monomial_basis(order: int, degree: int) -> List[Expr]:
             m = base if extra is None else monomial(base.powers + ((extra, 1),))
             if m not in seen:
                 seen.add(m)
-                out.append(Expr({(m, 0): Fraction(1)}, None))
+                out.append(Expr({(m, 0): 1}, None))
     return out
 
 

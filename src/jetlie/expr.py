@@ -7,8 +7,11 @@ Two expressions are mathematically equal iff their normal forms compare
 equal, which makes zero-testing on this class decidable: the polynomial
 part and the radical stratum must each vanish.
 
-Coefficients are `fractions.Fraction` throughout; nothing here ever
-touches floating point except the explicitly-floating evaluation mode.
+A coefficient is an `int` when it is integral and otherwise a
+`fractions.Fraction` with denominator > 1; `_q` maps a result into that
+domain, and every division goes through `Fraction`.  `as_fraction` and
+exact `eval_at` return `Fraction`s.  Nothing here ever touches floating
+point except the explicitly-floating evaluation mode.
 """
 
 from __future__ import annotations
@@ -16,13 +19,18 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
 from .symbols import Sym, allows_negative_power
 
-Q = Fraction
+Coeff = Union[int, Fraction]
 QZERO = Fraction(0)
-QONE = Fraction(1)
+QONE = 1
+
+
+def _q(c: Coeff) -> Coeff:
+    """`c` in the coefficient domain: an int when integral, else the Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class ExprError(ValueError):
@@ -179,23 +187,24 @@ _mono_sort_key = functools.cmp_to_key(mono_cmp)
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers (dict Monomial -> Fraction, no radical)
+# raw polynomial helpers (dict Monomial -> Coeff, no radical)
 # ---------------------------------------------------------------------------
 
-Poly = Dict[Monomial, Fraction]
+Poly = Dict[Monomial, Coeff]
 
 
-def _accumulate(acc: dict, key, c: Fraction):
-    """acc[key] += c for a nonzero c, dropping the key when the sum vanishes."""
+def _accumulate(acc: dict, key, c: Coeff):
+    """acc[key] += c for a nonzero c, dropping the key when the sum vanishes.
+
+    `c` may be a product with denominator 1; what is stored is in the domain.
+    """
     v = acc.get(key)
-    if v is None:
-        acc[key] = c
-    else:
-        v += c
-        if v:
-            acc[key] = v
-        else:
+    if v is not None:
+        c += v
+        if not c:
             del acc[key]
+            return
+    acc[key] = c if type(c) is int else _q(c)
 
 
 def _padd_into(acc: Poly, p: Poly):
@@ -228,8 +237,8 @@ def _pdiv_exact(num: Poly, den: Poly) -> Optional[Poly]:
         if not mono_divides(lead, rl):
             return None
         qm = mono_div(rl, lead)
-        qc = rem[rl] / lead_c
-        quot[qm] = quot.get(qm, QZERO) + qc
+        qc = _q(Fraction(rem[rl], lead_c))
+        _accumulate(quot, qm, qc)
         for m, c in den.items():
             _accumulate(rem, mono_mul(qm, m), -qc * c)
     return quot
@@ -264,7 +273,7 @@ class Expr:
 
     __slots__ = ("terms", "radicand", "_hash")
 
-    def __init__(self, terms: Dict[TermKey, Fraction], radicand: "Optional[Expr]"):
+    def __init__(self, terms: Dict[TermKey, Coeff], radicand: "Optional[Expr]"):
         self.terms = terms
         self.radicand = radicand
         self._hash = None
@@ -272,7 +281,7 @@ class Expr:
     # -- canonical construction ----------------------------------------------
 
     @staticmethod
-    def _build(terms: Dict[TermKey, Fraction], radicand: "Optional[Expr]") -> "Expr":
+    def _build(terms: Dict[TermKey, Coeff], radicand: "Optional[Expr]") -> "Expr":
         """The normal form of zero-free `terms`; the result owns the dict."""
         if not any(k for _, k in terms):
             return Expr(terms, None)
@@ -374,7 +383,7 @@ class Expr:
         if len(self.terms) == 1:
             ((m, k), c), = self.terms.items()
             if m.is_unit() and k == 0:
-                return c
+                return Fraction(c)
         raise ExprError("expression is not a rational constant")
 
     def strata(self) -> Dict[int, "Expr"]:
@@ -412,7 +421,7 @@ class Expr:
         if not self.terms or not other.terms:
             return ZERO
         rad = common_kernel(self, other)
-        acc: Dict[TermKey, Fraction] = {}
+        acc: Dict[TermKey, Coeff] = {}
         for (m1, k1), c1 in self.terms.items():
             for (m2, k2), c2 in other.terms.items():
                 _accumulate(acc, (mono_mul(m1, m2), k1 + k2), c1 * c2)
@@ -421,10 +430,10 @@ class Expr:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Expr":
-        c = Fraction(c)
+        c = _q(Fraction(c))
         if not c:
             return ZERO
-        return Expr({k: v * c for k, v in self.terms.items()}, self.radicand)
+        return Expr({k: _q(v * c) for k, v in self.terms.items()}, self.radicand)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -447,7 +456,7 @@ class Expr:
         if any(not allows_negative_power(s) for s in m.symbols()):
             raise ExprError("inverse would need a negative symbol power")
         inv_m = monomial(tuple((s, -e) for s, e in m.powers))
-        return Expr._build({(inv_m, -k): 1 / c}, self.radicand)
+        return Expr._build({(inv_m, -k): _q(Fraction(1, c))}, self.radicand)
 
     # -- calculus ----------------------------------------------------------------
 
@@ -460,7 +469,7 @@ class Expr:
 
     def diff_atom(self, s: Sym) -> "Expr":
         """Partial derivative treating every symbol as an independent atom."""
-        acc: Dict[TermKey, Fraction] = {}
+        acc: Dict[TermKey, Coeff] = {}
         rad_diff = None
         if self.radicand is not None:
             rad_diff = self.radicand.diff(s)
@@ -496,7 +505,7 @@ class Expr:
                 raise ExprError("substitution sends the radical kernel to zero")
             sq, new_rad = _extract_square_content(rad_sub)
             for k in {k for (_, k) in self.terms if k}:
-                scale_by_stratum[k] = constant(sq ** k)
+                scale_by_stratum[k] = constant(Fraction(sq) ** k)
 
         total = ZERO
         for (m, k), c in self.terms.items():
@@ -559,7 +568,7 @@ class Expr:
         The radical stratum index stays with the coefficient expressions, so
         coefficients are full Exprs (sharing this expression's kernel).
         """
-        groups: Dict[Monomial, Dict[TermKey, Fraction]] = {}
+        groups: Dict[Monomial, Dict[TermKey, Coeff]] = {}
         for (m, k), c in self.terms.items():
             sel = [(s, e) for s, e in m.powers if selector(s)]
             rest = [(s, e) for s, e in m.powers if not selector(s)]
@@ -572,7 +581,7 @@ class Expr:
     def coefficient(self, key: Monomial, selector: Callable[[Sym], bool]) -> "Expr":
         return self.collect(selector).get(key, ZERO)
 
-    def content(self) -> Tuple[Fraction, Monomial]:
+    def content(self) -> Tuple[Coeff, Monomial]:
         """Rational and monomial content over all non-opaque, non-constant symbols."""
         from .symbols import K_CONST, K_OPAQUE
 
@@ -608,10 +617,12 @@ class Expr:
             return self
         rat, mono = self.content()
         lead = max(self.terms, key=lambda key: (_mono_sort_key(key[0]), key[1]))
-        sign = 1 if self.terms[lead] > 0 else -1
-        scale = Fraction(sign) / rat
+        # each c / (sign * rat) is the integer sign * (n/num) * (den/d)
+        num = rat.numerator if self.terms[lead] > 0 else -rat.numerator
+        den = rat.denominator
         acc = {
-            (mono_div(m, mono), k): c * scale for (m, k), c in self.terms.items()
+            (mono_div(m, mono), k): c.numerator // num * (den // c.denominator)
+            for (m, k), c in self.terms.items()
         }
         return Expr(acc, self.radicand if any(k for (_, k) in acc) else None)
 
@@ -634,7 +645,7 @@ ONE = Expr({(MONE, 0): QONE}, None)
 
 
 def constant(c) -> Expr:
-    c = Fraction(c)
+    c = _q(Fraction(c))
     if not c:
         return ZERO
     return Expr({(MONE, 0): c}, None)
@@ -671,7 +682,7 @@ def as_expr(v) -> Expr:
     raise ExprError(f"cannot coerce {v!r} to Expr")
 
 
-def _extract_square_content(p: Expr) -> Tuple[Fraction, Expr]:
+def _extract_square_content(p: Expr) -> Tuple[Coeff, Expr]:
     """Write p = s^2 * p_hat with s rational; p_hat is the canonical kernel."""
     rat, _ = p.content()
     if rat == 0:
@@ -681,7 +692,7 @@ def _extract_square_content(p: Expr) -> Tuple[Fraction, Expr]:
     s = Fraction(sn, sd)
     if s == 1:
         return QONE, p
-    return s, p.scale(1 / (s * s))
+    return _q(s), p.scale(1 / (s * s))
 
 
 def _exact_sqrt(q: Fraction) -> Optional[Fraction]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import symbols as sy
-from .expr import Expr, ExprError, ZERO, symbol
+from .expr import Expr, ExprError, ZERO, _q, symbol
 from .linsolve import rational_solve
 from .printer import pretty
 
@@ -198,7 +198,7 @@ def decompose_in_span(
     comps = [dict(), dict(), dict()]
     for (ci, m), r in zip(keys, residual_vec):
         if r:
-            comps[ci][(m, 0)] = r
+            comps[ci][(m, 0)] = _q(r)
     residual = PointVectorField(
         xi=Expr(comps[0], None), tau=Expr(comps[1], None), eta=Expr(comps[2], None)
     )

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .algebra import exact_matrix_exp
-from .expr import Expr, ExprError, ONE, ZERO, as_expr, constant, symbol
+from .expr import Expr, ExprError, ONE, ZERO, _q, as_expr, constant, symbol
 from .fields import PointVectorField
 from .jets import Manifold
 from .printer import pretty
@@ -401,8 +401,8 @@ def _reduce_scaling(man: Manifold, weight: int) -> ReducedODE:
             raise FlowError("scaling reduction did not produce a similarity form")
         rest = [(s, e) for s, e in m.powers if s not in (sy.X, sy.T)]
         key = (make_mono(tuple(rest) + ((z, q),)), 0)
-        ode_terms[key] = ode_terms.get(key, Fraction(0)) + c
-    ode = Expr({k: v for k, v in ode_terms.items() if v}, None)
+        ode_terms[key] = ode_terms.get(key, 0) + c
+    ode = Expr({k: _q(v) for k, v in ode_terms.items() if v}, None)
     lhs_ode = _rewrite_in_z(lhs, sigma)
     rhs_ode = _rewrite_in_z(rhs, sigma)
     return ReducedODE(
@@ -429,5 +429,5 @@ def _rewrite_in_z(e: Expr, sigma: int) -> Expr:
             raise FlowError("scaling reduction did not produce a similarity form")
         rest = [(s, e2) for s, e2 in m.powers if s not in (sy.X, sy.T)]
         key = (make_mono(tuple(rest) + ((sy.Z, q),)), 0)
-        out[key] = out.get(key, Fraction(0)) + c
-    return Expr({k: v for k, v in out.items() if v}, None)
+        out[key] = out.get(key, 0) + c
+    return Expr({k: _q(v) for k, v in out.items() if v}, None)

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .expr import (
+    Coeff,
     Expr,
     ExprError,
     MONE,
@@ -44,7 +45,7 @@ from .expr import (
 )
 from .printer import pretty
 
-Entry = Dict[TermKey, Fraction]  # {(parameter monomial, 0): nonzero coefficient}
+Entry = Dict[TermKey, Coeff]  # {(parameter monomial, 0): nonzero int or Fraction}
 Row = Dict[int, Entry]
 
 
@@ -91,10 +92,6 @@ def _normalize(entries: Sequence[Entry]) -> Tuple[Monomial, List[Dict[TermKey, i
     ]
 
 
-def _entry(scaled: Dict[TermKey, int]) -> Expr:
-    return Expr({key: Fraction(c) for key, c in scaled.items()}, None)
-
-
 def _assumption(e: Expr) -> Optional[str]:
     prim = e.primitive()
     try:
@@ -125,7 +122,7 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
         key = tuple((j, frozenset(entry.items())) for j, entry in zip(cols, scaled))
         if key not in seen:
             seen.add(key)
-            work.append({j: _entry(entry) for j, entry in zip(cols, scaled)})
+            work.append({j: Expr(entry, None) for j, entry in zip(cols, scaled)})
 
     # propagate single-entry rows: coeff * c_j = 0 forces c_j = 0
     changed = True
@@ -133,7 +130,8 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
         changed = False
         next_work = []
         for row in work:
-            row = {j: e for j, e in row.items() if j not in forced_zero}
+            if not forced_zero.isdisjoint(row):
+                row = {j: e for j, e in row.items() if j not in forced_zero}
             if not row:
                 continue
             if len(row) == 1:
@@ -204,7 +202,7 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
             scale = expr_div_exact(d, mat[pr][pc])
             if scale is None:
                 raise LinearSolveError("pivot normalization failed")
-            if scale != Expr({(MONE, 0): Fraction(1)}, None):
+            if scale != ONE:
                 mat[pr] = [scale * v for v in mat[pr]]
 
     rank = len(pivots) + len(forced_zero)
@@ -227,7 +225,7 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
         nonzero = [i for i, e in enumerate(vec) if e]
         _, scaled = _normalize([vec[i].terms for i in nonzero])
         for i, entry in zip(nonzero, scaled):
-            vec[i] = _entry(entry)
+            vec[i] = Expr(entry, None)
         basis.append(vec)
     return NullspaceResult(basis=basis, assumptions=assumptions, rank=rank)
 

@@ -8,9 +8,7 @@ before the radical stratum, so output is stable for golden tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .expr import Expr, Monomial, _mono_sort_key
+from .expr import Coeff, Expr, Monomial, _mono_sort_key
 
 
 class PrintError(ValueError):
@@ -29,14 +27,14 @@ def _mono_str(m: Monomial, mode: str) -> str:
     return "*".join(parts)
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c: Coeff) -> str:
     c = abs(c)
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
 
 
-def _term_str(m: Monomial, k: int, c: Fraction, rad_str: str, mode: str) -> str:
+def _term_str(m: Monomial, k: int, c: Coeff, rad_str: str, mode: str) -> str:
     pieces = []
     if abs(c) != 1 or (m.is_unit() and k == 0):
         pieces.append(_coeff_str(c))

@@ -93,6 +93,16 @@ COMMAND_INPUT_ERRORS = [
     (["verify", "--", "u["], "error: expected a nonnegative integer (line 1, column 3)\n"),
 ]
 
+# an option value that starts with '-' reads as in the `=` form
+SIGNED_VALUES = [
+    (["--alpha", "-5/2", "solve", "point-affine"], ["--alpha=-5/2", "solve", "point-affine"]),
+    (["--format", "json", "--beta", "-1/3", "table"], ["--format", "json", "--beta=-1/3", "table"]),
+    (["reduce", "--rep", "-1/2*v1+v2"], ["reduce", "--rep=-1/2*v1+v2"]),
+    (["flow", "--gen", "-1,2,3"], ["flow", "--gen=-1,2,3"]),
+]
+# a positional argument that starts with '-' still needs '--' before it
+SIGNED_POSITIONALS = [(["verify", "-3*u"], 1), (["normalize", "-1/2", "1", "0"], 0)]
+
 
 def _run(argv, capsys):
     code = main(argv)
@@ -136,6 +146,23 @@ def test_flow_input_error(argv, stderr, capsys):
 def test_command_input_error(argv, stderr, capsys):
     code, out, err = _run(argv, capsys)
     assert (code, out, err) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("argv,joined", SIGNED_VALUES, ids=["alpha", "beta", "rep", "gen"])
+def test_signed_option_value(argv, joined, capsys):
+    code, out, err = _run(argv, capsys)
+    assert (code, err) == (0, "") and out
+    assert _run(joined, capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,exit_code", SIGNED_POSITIONALS, ids=["verify", "normalize"])
+def test_signed_positional_needs_double_dash(argv, exit_code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+    code, out, err = _run([argv[0], "--", *argv[1:]], capsys)
+    assert (code, err) == (exit_code, "") and out
 
 
 if __name__ == "__main__":

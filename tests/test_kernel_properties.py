@@ -6,10 +6,13 @@ arithmetic must satisfy the ring laws and `diff_atom` the Leibniz rule, on
 polynomials and on expressions over one radical kernel.  An `Expr` carries a
 radicand exactly when it has a radical term, which `has_radical` relies on,
 and a product with a single-term factor must build the same dict, in the
-same order, as the general accumulation loop.  `Sym` caches its hash and
-sort key, which must not depend on how a symbol was built.
+same order, as the general accumulation loop.  Every coefficient is an `int`
+when integral and otherwise a `Fraction` with denominator > 1, never a
+`float`, while `as_fraction` and `eval_at` return `Fraction`s.  `Sym` caches
+its hash and sort key, which must not depend on how a symbol was built.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -142,7 +145,7 @@ terms = st.tuples(
 def _poly(pieces):
     total = ex.ZERO
     for c, powers in pieces:
-        total = total + ex.constant(c) * ex.Expr({(monomial(powers), 0): Fraction(1)}, None)
+        total = total + ex.constant(c) * ex.Expr({(monomial(powers), 0): 1}, None)
     return total
 
 
@@ -229,7 +232,7 @@ single_terms = st.tuples(
     coefficients.filter(bool),
     st.lists(st.tuples(st.sampled_from(ATOMS + [sy.BETA]), st.integers(1, 2)), max_size=3),
     st.sampled_from([0, 1, 3]),
-).map(lambda t: ex.constant(t[0]) * ex.Expr({(monomial(t[1]), 0): Fraction(1)}, None) * ROOT ** t[2])
+).map(lambda t: ex.constant(t[0]) * ex.Expr({(monomial(t[1]), 0): 1}, None) * ROOT ** t[2])
 
 
 @EXPR_SETTINGS
@@ -242,6 +245,92 @@ def test_single_term_product_matches_the_accumulation_loop(a, b):
         assert product == expected
         assert list(product.terms) == list(expected.terms)
         assert product.radicand == expected.radicand
+
+
+# -- the coefficient domain ---------------------------------------------------------
+
+
+def _assert_domain(e):
+    """Every coefficient is an int, or a Fraction with denominator > 1."""
+    for c in e.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    if e.radicand is not None:
+        _assert_domain(e.radicand)
+
+
+# c * exp(eps)^j: single terms whose negative powers exist
+invertibles = st.tuples(coefficients.filter(bool), st.integers(-2, 2)).map(
+    lambda t: ex.constant(t[0]) * ex.symbol(sy.exp_eps()) ** t[1]
+)
+
+
+@EXPR_SETTINGS
+@given(exprs, exprs, st.sampled_from(ATOMS + [sy.BETA]), coefficients.filter(bool), invertibles)
+def test_coefficients_stay_in_the_domain(a, b, s, c, inv):
+    for e in (a, b, inv):
+        _assert_domain(e)
+    results = [
+        a + b,
+        a - b,
+        -a,
+        a * b,
+        a ** 2,
+        inv ** -1,
+        inv ** -2,
+        (inv * ROOT) ** -1,
+        a.scale(c),
+        a.primitive(),
+        a.diff_atom(s),
+        a.substitute({sy.X: b}),
+    ]
+    for e in results:
+        _assert_domain(e)
+    assert inv * inv ** -1 == ex.ONE
+    assert (inv * ROOT) ** -1 * ROOT == inv ** -1
+
+
+@EXPR_SETTINGS
+@given(polys, polys.filter(bool), coefficients.filter(bool))
+def test_sqrt_and_exact_division_stay_in_the_domain(p, d, c):
+    for e in (ex.sqrt(p), ex.sqrt(p * p), ex.sqrt(ex.constant(c) * ex.constant(c))):
+        _assert_domain(e)
+    assert ex.sqrt(ex.constant(c) * ex.constant(c)) == ex.constant(abs(c))
+    quotient = ex.expr_div_exact(p * d, d)
+    _assert_domain(quotient)
+    assert quotient == p
+    by_constant = ex.expr_div_exact(p, ex.constant(c))
+    _assert_domain(by_constant)
+    assert by_constant == p.scale(1 / c)
+
+
+# alpha = 1, beta = 4, u_x = 1 puts the kernel at 9, a rational square
+POINT = {sy.X: 2, sy.U: -1, sy.jet(1, 0): 1, sy.ALPHA: 1, sy.BETA: 4}
+
+
+@EXPR_SETTINGS
+@given(exprs, coefficients)
+def test_as_fraction_and_eval_at_return_fractions(a, c):
+    assert ex.constant(c).as_fraction() == c
+    for e in (ex.constant(c), ex.ZERO, ex.ONE):
+        assert type(e.as_fraction()) is Fraction
+    for e in (a, ex.ONE, ex.ZERO, ex.constant(c)):
+        value = e.eval_at(POINT)
+        assert type(value) is Fraction
+        assert math.isclose(value, e.eval_at(POINT, floating=True), rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_integer_inverse_is_exact():
+    half = ex.constant(2) ** -1
+    assert half == ex.constant(Fraction(1, 2))
+    _assert_domain(half)
+    assert type(half.as_fraction()) is Fraction
+
+
+def test_exact_quotient_by_an_integer_constant():
+    u = monomial([(sy.U, 1)])
+    quotient = ex._pdiv_exact({u: 2}, {ex.MONE: 4})
+    assert quotient == {u: Fraction(1, 2)}
+    assert type(quotient[u]) is Fraction
 
 
 # -- cached Sym hash and sort key ---------------------------------------------------
