@@ -794,14 +794,13 @@ _SIGNED_VALUE_OPTIONS = ("--alpha", "--beta", "--rep", "--gen")
 def _attach_signed_values(argv: Sequence[str]) -> List[str]:
     """`--alpha -5/2` as `--alpha=-5/2`, for the options above and up to `--`."""
     out: List[str] = []
-    rest = list(argv)
-    while rest and rest[0] != "--":
-        arg = rest.pop(0)
-        value = rest[0] if rest else ""
-        if arg in _SIGNED_VALUE_OPTIONS and value.startswith("-") and not value.startswith("--"):
-            arg = f"{arg}={rest.pop(0)}"
-        out.append(arg)
-    return out + rest
+    for arg in argv:
+        if (out and out[-1] in _SIGNED_VALUE_OPTIONS and "--" not in out
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
