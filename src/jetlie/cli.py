@@ -461,7 +461,7 @@ def _parse_vec(text: str) -> Tuple[Fraction, Fraction, Fraction]:
 
 def cmd_normalize(args, config: RunConfig) -> Tuple[int, Dict]:
     if args.two:
-        pair = [_parse_vec(t) for t in args.two]
+        pair = [_parse_vec(t.strip()) for t in args.two]
     else:
         vec = _parse_entries(args.coefficients, " ".join(args.coefficients))
     man = config.manifold()
@@ -732,8 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
             "generalized short pulse equation u_xt = a*u + (b/3)*(u^3)_xx"
         ),
         epilog=(
-            "The value of --alpha, --beta, --rep or --gen may start with '-' "
-            "(--alpha -5/2, --gen -1,2,3).  A positional argument that starts "
+            "A value of --alpha, --beta, --rep, --gen or --two may start with '-' "
+            "(--alpha -5/2, --two -1,0,0 1,0,2).  A positional argument that starts "
             "with '-' needs '--' before it: verify -- -3*u, normalize -- -1/2 1 0."
         ),
     )
@@ -787,19 +787,28 @@ _COMMANDS = {
 }
 
 
-# argparse reads a value that starts with '-' as an option
-_SIGNED_VALUE_OPTIONS = ("--alpha", "--beta", "--rep", "--gen")
+# argparse reads a value that starts with '-' as an option; the values each takes
+_SIGNED_VALUE_OPTIONS = {"--alpha": 1, "--beta": 1, "--rep": 1, "--gen": 1, "--two": 2}
 
 
 def _attach_signed_values(argv: Sequence[str]) -> List[str]:
-    """`--alpha -5/2` as `--alpha=-5/2`, for the options above and up to `--`."""
+    """Up to `--`, join a signed value to its option (`--alp=-5/2`, which argparse
+    resolves) or, for `--two`, prefix it with a space, which argparse reads as a value."""
     out: List[str] = []
-    for arg in argv:
-        if (out and out[-1] in _SIGNED_VALUE_OPTIONS and "--" not in out
-                and arg.startswith("-") and not arg.startswith("--")):
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
+    nargs = owed = 0  # values the last option above takes, and still owes
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + list(argv[i:])
+        if owed and not arg.startswith("--"):
+            owed -= 1
+            if arg.startswith("-") and nargs == 1:
+                out[-1] = f"{out[-1]}={arg}"
+            else:
+                out.append(" " + arg if arg.startswith("-") else arg)
+            continue
+        out.append(arg)
+        names = [o for o in _SIGNED_VALUE_OPTIONS if len(arg) > 2 and o.startswith(arg)]
+        nargs = owed = _SIGNED_VALUE_OPTIONS[names[0]] if len(names) == 1 else 0
     return out
 
 

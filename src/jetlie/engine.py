@@ -54,19 +54,15 @@ class ResidualReport:
 def frechet_derivative(man: Manifold, q: Expr) -> Expr:
     """Linearization of the equation's right side in the direction q."""
     total = ZERO
-    dx_cache = {0: q}
-
-    def dx_power(n: int) -> Expr:
-        if n not in dx_cache:
-            dx_cache[n] = man.total_dx(dx_power(n - 1))
-        return dx_cache[n]
-
+    dx_powers = [q]  # D_x^n q at index n, extended as needed
     for s in sorted(man.rhs.free_symbols(), key=lambda s: s.sort_key()):
         if s.kind != sy.K_JET:
             continue
         i, j = s.jet_orders
         assert j == 0
-        total = total + man.rhs.diff(s) * dx_power(i)
+        while len(dx_powers) <= i:
+            dx_powers.append(man.total_dx(dx_powers[-1]))
+        total = total + man.rhs.diff(s) * dx_powers[i]
     return total
 
 

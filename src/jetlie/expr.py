@@ -7,6 +7,14 @@ Two expressions are mathematically equal iff their normal forms compare
 equal, which makes zero-testing on this class decidable: the polynomial
 part and the radical stratum must each vanish.
 
+Invariant: the radical part w of a normal form sits at one odd stratum, and
+a non-constant kernel R does not divide it.  For R without `K_EXP` symbols
+(a UFD, Laurent in exp(eps)), `_build` skips the pulls that must fail: (1) a
+sum with one radical part a, or with parts a, b at strata k < l, has
+w = a + b R^((l-k)/2), which is a modulo R; (2) for a radical times a
+radical-free c*m, gcd(R, m) = 1 unless a symbol of m divides every term of
+R, so R | w*m would need R | w.  A one-stratum sum keeps the pull.
+
 A coefficient is an `int` when it is integral and otherwise a
 `fractions.Fraction` with denominator > 1; `_q` maps a result into that
 domain, and every division goes through `Fraction`.  `as_fraction` and
@@ -281,8 +289,13 @@ class Expr:
     # -- canonical construction ----------------------------------------------
 
     @staticmethod
-    def _build(terms: Dict[TermKey, Coeff], radicand: "Optional[Expr]") -> "Expr":
-        """The normal form of zero-free `terms`; the result owns the dict."""
+    def _build(terms: Dict[TermKey, Coeff], radicand: "Optional[Expr]", pull: bool = True) -> "Expr":
+        """The normal form of zero-free `terms`; the result owns the dict.
+
+        Factors R come out of the radical part w while R divides it; `pull=False`
+        skips that where it must fail: (1) w = a + b R^j is a modulo R; (2) w = a*m
+        with gcd(R, m) = 1, where R | a*m would need R | a.
+        """
         if not any(k for _, k in terms):
             return Expr(terms, None)
         # the keys (m, k) are unique, so each stratum takes its terms as they are
@@ -318,9 +331,10 @@ class Expr:
                 for _ in range((k - m_min) // 2):
                     shifted = _pmul(shifted, rad_poly)
                 _padd_into(w, shifted)
-            # pull kernel factors out of the stratum polynomial; skipped for a
-            # constant kernel, where the quotient never terminates
-            if not (len(rad_poly) == 1 and MONE in rad_poly):
+            # pull kernel factors out of w unless R is a constant (the quotient never
+            # terminates) or a rule shows that none comes out; the rules need R free of exp
+            pull = pull or any(allows_negative_power(s) for m in rad_poly for s, _ in m.powers)
+            if pull and not (len(rad_poly) == 1 and MONE in rad_poly):
                 while w:
                     q = _pdiv_exact(w, rad_poly)
                     if q is None:
@@ -403,7 +417,8 @@ class Expr:
         acc = dict(self.terms)
         for key, c in other.terms.items():
             _accumulate(acc, key, c)
-        return Expr._build(acc, rad)
+        # rule 1: only radical parts at one stratum can add up to a multiple of R
+        return Expr._build(acc, rad, rad is None or _stratum(self) == _stratum(other))
 
     __radd__ = __add__
 
@@ -425,7 +440,12 @@ class Expr:
         for (m1, k1), c1 in self.terms.items():
             for (m2, k2), c2 in other.terms.items():
                 _accumulate(acc, (mono_mul(m1, m2), k1 + k2), c1 * c2)
-        return Expr._build(acc, rad)
+        plain = self if other.radicand is not None else other
+        pull = rad is None or plain.radicand is not None or len(plain.terms) != 1
+        if not pull:  # rule 2: gcd(R, m) = 1 unless a symbol of m divides every term of R
+            (m, _k), = plain.terms
+            pull = any(all(mr.exponent(s) for mr, _ in rad.terms) for s, _ in m.powers)
+        return Expr._build(acc, rad, pull)
 
     __rmul__ = __mul__
 
@@ -653,6 +673,11 @@ def constant(c) -> Expr:
 
 def symbol(s: Sym) -> Expr:
     return Expr({(monomial(((s, 1),)), 0): QONE}, None)
+
+
+def _stratum(e: Expr) -> int:
+    """The stratum of e's radical part, 0 when it has none."""
+    return 0 if e.radicand is None else next((k for _, k in e.terms if k), 0)
 
 
 def common_kernel(*exprs: Expr) -> Optional[Expr]:

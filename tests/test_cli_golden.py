@@ -8,6 +8,7 @@ change of the reports with
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,16 @@ SIGNED_VALUES = [
     (["--format", "json", "--beta", "-1/3", "table"], ["--format", "json", "--beta=-1/3", "table"]),
     (["reduce", "--rep", "-1/2*v1+v2"], ["reduce", "--rep=-1/2*v1+v2"]),
     (["flow", "--gen", "-1,2,3"], ["flow", "--gen=-1,2,3"]),
+    # an abbreviated option, resolved by argparse
+    (["--alp", "-5/2", "table"], ["--alpha=-5/2", "table"]),
+]
+# a pair of `--two` vectors that starts with '-' spans the same subalgebra as
+# the pair after it, and gets the same exit code and representative
+SIGNED_PAIRS = [
+    (["-1,0,0", "1,0,2"], ["1,0,0", "1,0,2"], 0),
+    (["0,1,0", "-1,0,3"], ["0,1,0", "1,0,-3"], 0),
+    # not a subalgebra
+    (["-1,-1,0", "0,0,-1"], ["1,1,0", "0,0,1"], 2),
 ]
 # a positional argument that starts with '-' still needs '--' before it
 SIGNED_POSITIONALS = [(["verify", "-3*u"], 1), (["normalize", "-1/2", "1", "0"], 0)]
@@ -148,11 +159,26 @@ def test_command_input_error(argv, stderr, capsys):
     assert (code, out, err) == (2, "", stderr)
 
 
-@pytest.mark.parametrize("argv,joined", SIGNED_VALUES, ids=["alpha", "beta", "rep", "gen"])
+@pytest.mark.parametrize(
+    "argv,joined", SIGNED_VALUES, ids=["alpha", "beta", "rep", "gen", "alpha-prefix"]
+)
 def test_signed_option_value(argv, joined, capsys):
     code, out, err = _run(argv, capsys)
     assert (code, err) == (0, "") and out
     assert _run(joined, capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "signed,plain,exit_code", SIGNED_PAIRS, ids=["lead", "second", "not-subalgebra"]
+)
+def test_signed_two_vectors(signed, plain, exit_code, capsys):
+    results = []
+    for pair in (signed, plain):
+        code, out, err = _run(["--format", "json", "normalize", "--two", *pair], capsys)
+        assert (code, err) == (exit_code, "")
+        results.append(json.loads(out)["result"])
+    assert ("representative" in results[0]) == (exit_code == 0)
+    assert results[0].get("representative") == results[1].get("representative")
 
 
 @pytest.mark.parametrize("argv,exit_code", SIGNED_POSITIONALS, ids=["verify", "normalize"])

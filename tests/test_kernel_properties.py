@@ -6,7 +6,10 @@ arithmetic must satisfy the ring laws and `diff_atom` the Leibniz rule, on
 polynomials and on expressions over one radical kernel.  An `Expr` carries a
 radicand exactly when it has a radical term, which `has_radical` relies on,
 and a product with a single-term factor must build the same dict, in the
-same order, as the general accumulation loop.  Every coefficient is an `int`
+same order, as the general accumulation loop.  A sum or a product by a
+radical-free single term, whose kernel pull `_build` may skip, must build
+what the full pull builds, and every radical result must keep its radical
+part free of a factor of the kernel.  Every coefficient is an `int`
 when integral and otherwise a `Fraction` with denominator > 1, never a
 `float`, while `as_fraction` and `eval_at` return `Fraction`s.  `Sym` caches
 its hash and sort key, which must not depend on how a symbol was built.
@@ -245,6 +248,102 @@ def test_single_term_product_matches_the_accumulation_loop(a, b):
         assert product == expected
         assert list(product.terms) == list(expected.terms)
         assert product.radicand == expected.radicand
+
+
+# -- the kernel pull that sums and monomial products skip ----------------------------
+
+U_EXPR = ex.symbol(sy.U)
+# the second kernel has the factor u in every term, so a product by u may pull it
+KERNELS = [KERNEL, U_EXPR + U_EXPR ** 2]
+
+
+def _over(kernel):
+    """p0 + p1 * sqrt(kernel)^k at a stratum k of either sign."""
+    return st.tuples(polys, polys.filter(bool), st.sampled_from([-3, -1, 1, 3])).map(
+        lambda p: p[0] + p[1] * ex.sqrt(kernel) ** p[2]
+    )
+
+
+# (kernel, a radical, a radical or a polynomial over the same kernel)
+kernel_cases = st.sampled_from(KERNELS).flatmap(
+    lambda kernel: st.tuples(st.just(kernel), _over(kernel), st.one_of(polys, _over(kernel)))
+)
+# c * m with no radical; exp(eps) may carry a negative power
+plain_terms = st.tuples(
+    coefficients.filter(bool),
+    st.lists(st.sampled_from(ATOMS + [sy.BETA, sy.exp_eps()]).flatmap(_power), max_size=3),
+).map(lambda t: ex.constant(t[0]) * ex.Expr({(monomial(t[1]), 0): 1}, None))
+
+
+def _reference_add(a, b):
+    """a + b by the full kernel pull."""
+    acc = dict(a.terms)
+    for key, c in b.terms.items():
+        ex._accumulate(acc, key, c)
+    return ex.Expr._build(acc, ex.common_kernel(a, b))
+
+
+def _assert_same_build(e, reference):
+    assert list(e.terms.items()) == list(reference.terms.items())
+    assert e.radicand == reference.radicand
+
+
+def _assert_no_kernel_factor(e):
+    """A non-constant kernel does not divide the radical part of e."""
+    if not e.has_radical():
+        return
+    kernel = e.radicand._poly()
+    if len(kernel) == 1 and ex.MONE in kernel:
+        return
+    w = {m: c for (m, k), c in e.terms.items() if k}
+    assert ex._pdiv_exact(w, kernel) is None
+
+
+@EXPR_SETTINGS
+@given(kernel_cases, plain_terms)
+def test_skipped_pulls_build_what_the_full_pull_builds(case, cm):
+    kernel, a, b = case
+    # a + (b * kernel - a) cancels a and leaves a multiple of the kernel
+    for left, right in ((a, b), (b, a), (a, b * kernel - a)):
+        _assert_same_build(left + right, _reference_add(left, right))
+    for left, right in ((a, cm), (cm, a)):
+        _assert_same_build(left * right, _reference_mul(left, right))
+
+
+@EXPR_SETTINGS
+@given(kernel_cases, plain_terms, polys, st.sampled_from(ATOMS + [sy.BETA]))
+def test_radical_parts_stay_free_of_the_kernel(case, cm, p, s):
+    kernel, a, b = case
+    results = [
+        a + b,
+        a - b,
+        a * cm,
+        cm * a,
+        a * p,
+        a * ex.sqrt(kernel) ** 3,
+        a.diff_atom(s),
+        a.substitute({sy.X: p}),
+    ]
+    for e in results:
+        _assert_no_kernel_factor(e)
+
+
+def test_same_stratum_sum_pulls_the_kernel():
+    x, root = ex.symbol(sy.X), ROOT ** -1
+    assert (x + KERNEL) * root - x * root == ROOT
+
+
+def test_product_by_a_factor_of_the_kernel_pulls_it():
+    root = ex.sqrt(U_EXPR + U_EXPR ** 2)
+    assert ((ex.ONE + U_EXPR) * root ** -1) * U_EXPR == root
+
+
+def test_kernel_with_an_exp_symbol_keeps_the_full_pull():
+    # exp(eps) is a unit, so exp(eps) + 1 divides what the division leaves
+    e = ex.symbol(sy.exp_eps())
+    root = ex.sqrt(ex.ONE + e)
+    assert ((ex.ONE + e ** -1) * root) * e == root ** 3
+    assert (e - e ** -1) * root + e ** -1 * root ** 3 == root ** 3
 
 
 # -- the coefficient domain ---------------------------------------------------------
