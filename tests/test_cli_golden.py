@@ -114,6 +114,19 @@ SIGNED_PAIRS = [
 # a positional argument that starts with '-' still needs '--' before it
 SIGNED_POSITIONALS = [(["verify", "-3*u"], 1), (["normalize", "-1/2", "1", "0"], 0)]
 
+# the claimed radical candidate v4, as printed and at alpha=1, beta=1/2
+V4 = "u[3,0]/sqrt(2*b*u[3,0]^2 + a)"
+V4_POINT = "u[3,0]/sqrt(u[3,0]^2 + 1)"
+# the verify claim rows a candidate matches: the fixtures take each call's
+# parameters, so V4 matches at both points and V4_POINT only at its own;
+# v4 is no symmetry, so each run exits 1
+CLAIM_MATCHES = [
+    ("sym", ["--interp", "both", "verify", "--", V4], ["v4[third]", "v4[cubed]"]),
+    ("a1-b1_2", ["--interp", "both", "verify", "--", V4], ["v4[third]", "v4[cubed]"]),
+    ("a1-b1_2", ["verify", "--", V4_POINT], ["v4[third]"]),
+    ("sym", ["verify", "--", V4_POINT], []),
+]
+
 
 def _run(argv, capsys):
     code = main(argv)
@@ -189,6 +202,41 @@ def test_signed_positional_needs_double_dash(argv, exit_code, capsys):
     assert "error: " in capsys.readouterr().err
     code, out, err = _run([argv[0], "--", *argv[1:]], capsys)
     assert (code, err) == (exit_code, "") and out
+
+
+def _claim_row_names(point, argv, capsys):
+    code, out, err = _run(POINTS[point] + ["--format", "json"] + argv, capsys)
+    assert (code, err) == (1, "")
+    return [row["name"] for row in json.loads(out)["claims"]]
+
+
+@pytest.mark.parametrize(
+    "point,argv,rows",
+    CLAIM_MATCHES,
+    ids=["v4-both-sym", "v4-both-a1-b1_2", "v4-point-a1-b1_2", "v4-point-sym"],
+)
+def test_verify_claim_rows(point, argv, rows, capsys):
+    names = _claim_row_names(point, argv, capsys)
+    assert names == [f"claimed local symmetry {row}" for row in rows]
+
+
+def test_verify_claim_rows_follow_each_call(capsys):
+    """sym, then the point, then sym again in one process: no call's parameters
+    stay behind in the claim fixtures of the next."""
+    by_point = {point: [] for point in POINTS}
+    for point, argv, rows in CLAIM_MATCHES:
+        by_point[point].append((argv, rows))
+    for point in ("sym", "a1-b1_2", "sym"):
+        for argv, rows in by_point[point]:
+            names = _claim_row_names(point, argv, capsys)
+            assert names == [f"claimed local symmetry {row}" for row in rows], (point, argv)
+
+
+def test_command_goldens_repeat_in_one_process(capsys):
+    """Every command golden twice in one process, the second time in reverse
+    order: nothing one call parses or builds leaks into the next."""
+    for name, argv, exit_code in COMMAND_RUNS + COMMAND_RUNS[::-1]:
+        _check_golden(name, argv, exit_code, capsys)
 
 
 if __name__ == "__main__":
