@@ -460,8 +460,12 @@ def _parse_vec(text: str) -> Tuple[Fraction, Fraction, Fraction]:
 
 
 def cmd_normalize(args, config: RunConfig) -> Tuple[int, Dict]:
+    if args.two and args.coefficients:
+        raise CliError("normalize takes three coefficients or --two, not both")
     if args.two:
         pair = [_parse_vec(t.strip()) for t in args.two]
+    elif len(args.coefficients) != 3:
+        raise CliError("normalize needs three coefficients or --two")
     else:
         vec = _parse_entries(args.coefficients, " ".join(args.coefficients))
     man = config.manifold()
@@ -824,9 +828,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         basis_limit=args.basis_limit,
     )
-    if args.command == "normalize" and not args.two and len(args.coefficients) != 3:
-        print("normalize needs three coefficients or --two", file=sys.stderr)
-        return 2
     try:
         code, report = _COMMANDS[args.command](args, config)
     except (

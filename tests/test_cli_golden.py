@@ -92,6 +92,11 @@ COMMAND_INPUT_ERRORS = [
         "error: unsupported representative 'garbage'; expected v1+a*v2, b*v1+v2 or v3\n",
     ),
     (["verify", "--", "u["], "error: expected a nonnegative integer (line 1, column 3)\n"),
+    (
+        ["normalize", "1", "2", "3", "--two", "1,0,0", "0,1,0"],
+        "error: normalize takes three coefficients or --two, not both\n",
+    ),
+    (["normalize", "1", "2"], "error: normalize needs three coefficients or --two\n"),
 ]
 
 # an option value that starts with '-' reads as in the `=` form
@@ -165,7 +170,14 @@ def test_flow_input_error(argv, stderr, capsys):
 @pytest.mark.parametrize(
     "argv,stderr",
     COMMAND_INPUT_ERRORS,
-    ids=["normalize-symbol", "normalize-zero-denominator", "reduce-rep", "verify-parse"],
+    ids=[
+        "normalize-symbol",
+        "normalize-zero-denominator",
+        "reduce-rep",
+        "verify-parse",
+        "normalize-both",
+        "normalize-two-coefficients",
+    ],
 )
 def test_command_input_error(argv, stderr, capsys):
     code, out, err = _run(argv, capsys)
