@@ -17,6 +17,7 @@ variants (leading u_{t^3} vs leading u_{x^3}).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from . import symbols as sy
@@ -130,3 +131,21 @@ def local_symmetry_candidates(interp: str = "third") -> List[Tuple[str, Expr]]:
         (f"v5[{interp}]", v5(interp)),
         (f"v5-tlead[{interp}]", v5_tlead(interp)),
     ]
+
+
+@lru_cache(maxsize=None)
+def verify_catalogue(interp: str) -> Tuple[Tuple[str, Expr], ...]:
+    """(row name, fixture) for every claim `verify` matches under one reading.
+
+    Built once per reading and shared by every call, so never mutated; the
+    fixtures keep alpha and beta symbolic.
+    """
+    point = claimed_point_characteristics()
+    return (
+        ("claimed x-translation (symmetry)", point["v1"]),
+        ("claimed t-translation (symmetry)", point["v2"]),
+        (f"claimed scaling with weight {CLAIMED_SCALING_WEIGHT} (symmetry)", point["v3"]),
+    ) + tuple(
+        (f"claimed local symmetry {name}", e)
+        for name, e in local_symmetry_candidates(interp)
+    )

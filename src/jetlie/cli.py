@@ -9,6 +9,9 @@ report as sorted JSON.
 Exit codes for `verify`: 0 residual is exactly zero, 1 nonzero, 2 input
 error.  Other commands exit 0 on success and 2 on any input or domain
 error.
+
+The argument parser and the verify claim fixtures are built once per process,
+on first use, and shared by every later call: they must never be mutated.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import claims
@@ -136,27 +140,6 @@ def _expr_strings(e: Expr) -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# claim fixtures for verify
-# ---------------------------------------------------------------------------
-
-
-def _claim_catalogue(config: RunConfig, interp: str) -> List[Tuple[str, Expr]]:
-    entries = [
-        ("claimed x-translation (symmetry)", claims.claimed_point_characteristics()["v1"]),
-        ("claimed t-translation (symmetry)", claims.claimed_point_characteristics()["v2"]),
-        (
-            f"claimed scaling with weight {claims.CLAIMED_SCALING_WEIGHT} (symmetry)",
-            claims.claimed_scaling_characteristic(),
-        ),
-    ]
-    entries += [
-        (f"claimed local symmetry {name}", e)
-        for name, e in claims.local_symmetry_candidates(interp)
-    ]
-    return [(name, _substitute_params(e, config)) for name, e in entries]
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -185,8 +168,9 @@ def cmd_verify(args, config: RunConfig) -> Tuple[int, Dict]:
                 "spot_check": {"points": chk.points, "agrees": chk.agrees},
             }
         )
-        for name, fixture in _claim_catalogue(config, reading):
-            if apply_interp(fixture, reading) == q:
+        # each fixture is built under its reading, so only alpha, beta remain
+        for name, fixture in claims.verify_catalogue(reading):
+            if _substitute_params(fixture, config) == q:
                 claim_rows.append(
                     {
                         "name": name,
@@ -728,6 +712,7 @@ def render_text(report: Dict) -> str:
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetlie",
