@@ -17,9 +17,8 @@ i.e. Ad(exp(eps v_i)) = exp(-eps ad_{v_i}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .expr import Expr, ONE, ZERO, constant, symbol
@@ -258,8 +257,7 @@ def ad_matrix(table: StructureTable, i: int) -> List[List[Fraction]]:
     return out
 
 
-@dataclass
-class AdjointMap:
+class AdjointMap(NamedTuple):
     generator: int  # 0-based index i of v_i
     eps_name: str
     matrix: List[List[Expr]]  # coefficients map, entries in eps / exp(eps)
@@ -387,8 +385,7 @@ def _check_spe_table(table: StructureTable):
             )
 
 
-@dataclass
-class Normalize1D:
+class Normalize1D(NamedTuple):
     representative: Vec
     family: str  # "v1 + a*v2" | "b*v1 + v2" | "v3"
     parameter: Optional[Fraction]
@@ -480,8 +477,7 @@ def replay_steps(table: StructureTable, coeffs: Vec, steps: List[Tuple]) -> Vec:
     return current
 
 
-@dataclass
-class Normalize2D:
+class Normalize2D(NamedTuple):
     representative: Tuple[str, str]
     pair: Tuple[Vec, Vec]  # final elements after in-span reduction and maps
     steps: List[Tuple]

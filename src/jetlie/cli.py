@@ -20,10 +20,9 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import claims
 from . import symbols as sy
@@ -66,8 +65,7 @@ class CliError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     alpha: str = "sym"
     beta: str = "sym"
     max_order: int = 12
@@ -168,9 +166,12 @@ def cmd_verify(args, config: RunConfig) -> Tuple[int, Dict]:
                 "spot_check": {"points": chk.points, "agrees": chk.agrees},
             }
         )
-        # each fixture is built under its reading, so only alpha, beta remain
+        # each fixture is built under its reading, so only alpha, beta remain;
+        # substituting nonzero values for them only removes symbols, so a
+        # fixture that lacks a jet symbol of q cannot become q
+        jets = {s for s in q.free_symbols() if s.kind == sy.K_JET}
         for name, fixture in claims.verify_catalogue(reading):
-            if _substitute_params(fixture, config) == q:
+            if jets <= fixture.free_symbols() and _substitute_params(fixture, config) == q:
                 claim_rows.append(
                     {
                         "name": name,

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .expr import Expr, ZERO, _mono_sort_key, as_expr, constant, monomial, sqrt, symbol
@@ -44,8 +43,7 @@ class BasisTooLargeError(EngineError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ResidualReport:
+class ResidualReport(NamedTuple):
     value: Expr
     is_zero: bool
     free_coordinates: List[sy.Sym]
@@ -55,7 +53,7 @@ def frechet_derivative(man: Manifold, q: Expr) -> Expr:
     """Linearization of the equation's right side in the direction q."""
     total = ZERO
     dx_powers = [q]  # D_x^n q at index n, extended as needed
-    for s in sorted(man.rhs.free_symbols(), key=lambda s: s.sort_key()):
+    for s in sorted(man.rhs.free_symbols()):
         if s.kind != sy.K_JET:
             continue
         i, j = s.jet_orders
@@ -73,10 +71,7 @@ def residual(man: Manifold, q: Expr) -> ResidualReport:
             f"characteristic order {order} exceeds max_order - 2 = {man.max_order - 2}"
         )
     value = man.total_dx(man.total_dt(q)) - frechet_derivative(man, q)
-    free = sorted(
-        (s for s in value.free_symbols() if s.kind == sy.K_JET),
-        key=lambda s: s.sort_key(),
-    )
+    free = sorted(s for s in value.free_symbols() if s.kind == sy.K_JET)
     return ResidualReport(value=value, is_zero=value.is_zero(), free_coordinates=free)
 
 
@@ -85,8 +80,7 @@ def residual(man: Manifold, q: Expr) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpotCheck:
+class SpotCheck(NamedTuple):
     points: int
     agrees: bool
     witness: Optional[Dict[str, str]] = None
@@ -103,10 +97,7 @@ def spot_check(value: Expr, claims_zero: bool, points: int, rng: random.Random) 
     nonzero claim some stratum must be nonzero at some sampled point.
     """
     strata = value.strata() if value.terms else {0: ZERO}
-    syms = sorted(
-        {s for p in strata.values() for s in p.free_symbols()},
-        key=lambda s: s.sort_key(),
-    )
+    syms = sorted({s for p in strata.values() for s in p.free_symbols()})
     found_nonzero = None
     for _ in range(points):
         pt = _random_point(syms, rng)
@@ -137,8 +128,7 @@ def spot_check(value: Expr, claims_zero: bool, points: int, rng: random.Random) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DeterminingSystem:
+class DeterminingSystem(NamedTuple):
     arity: Tuple[sy.Sym, ...]
     collected_by: Tuple[sy.Sym, ...]
     equations: List[Expr]
@@ -229,8 +219,7 @@ def determining_system(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AnsatzResult:
+class AnsatzResult(NamedTuple):
     basis: List[Expr]
     characteristics: List[Expr]
     vectors: List[Dict[int, Expr]]  # basis-index -> coefficient (param polynomial)
@@ -276,8 +265,7 @@ def ansatz_solve(man: Manifold, basis: Sequence[Expr]) -> AnsatzResult:
         assumptions=solution.assumptions,
         dependent_directions=dependent,
     )
-    _canonicalize_rational_solutions(result)
-    return result
+    return _canonicalize_rational_solutions(result)
 
 
 def _function_space_reduce(pairs):
@@ -328,8 +316,11 @@ def _function_space_reduce(pairs):
     return out, dependent
 
 
-def _canonicalize_rational_solutions(result: AnsatzResult):
-    """Present rational solution spaces in reduced row echelon form."""
+def _canonicalize_rational_solutions(result: AnsatzResult) -> AnsatzResult:
+    """Present rational solution spaces in reduced row echelon form.
+
+    Returns the result unchanged when a coefficient is not rational.
+    """
     from .linsolve import rational_rref
 
     n = len(result.basis)
@@ -340,10 +331,10 @@ def _canonicalize_rational_solutions(result: AnsatzResult):
             try:
                 row[k] = e.as_fraction()
             except Exception:
-                return
+                return result
         rows.append(row)
     if not rows:
-        return
+        return result
     rref, pivots = rational_rref(rows)
     rref = [row for row in rref if any(row)]
     characteristics = []
@@ -357,8 +348,7 @@ def _canonicalize_rational_solutions(result: AnsatzResult):
                 q = q + constant(c) * result.basis[k]
         characteristics.append(q)
         vectors.append(entries)
-    result.characteristics = characteristics
-    result.vectors = vectors
+    return result._replace(characteristics=characteristics, vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +356,7 @@ def _canonicalize_rational_solutions(result: AnsatzResult):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NonexistenceReport:
+class NonexistenceReport(NamedTuple):
     order: int
     degree: int
     basis_size: int
@@ -586,8 +575,7 @@ def builtin_basis(name: str, interp: str = "third") -> List[Expr]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DerivedPointAlgebra:
+class DerivedPointAlgebra(NamedTuple):
     result: AnsatzResult
     characteristics: List[Expr]  # ordered v1 (x-translation), v2, v3 (scaling)
     weight: Fraction  # derived scaling weight c* in x u_x - t u_t - c* u

@@ -57,7 +57,7 @@ class KernelConflictError(ExprError):
 class Monomial:
     """A product of symbol powers.
 
-    Invariant: `powers` is sorted by `Sym.sort_key`, holds each symbol at most
+    Invariant: `powers` is sorted by the symbol order, holds each symbol at most
     once and no zero exponent, and only `K_EXP` symbols carry negative
     exponents.  `monomial()` establishes it for arbitrary input; `mono_mul`
     and `mono_div` rely on it to merge two power tuples in one pass.
@@ -112,7 +112,7 @@ def monomial(pairs: Iterable[Tuple[Sym, int]]) -> Monomial:
     for s, e in acc.items():
         if e < 0 and not allows_negative_power(s):
             raise ExprError(f"negative exponent on {s.pretty()}")
-    return Monomial(tuple(sorted(acc.items(), key=lambda p: p[0].sort_key())))
+    return Monomial(tuple(sorted(acc.items())))
 
 
 def _merge_powers(p1, p2, sign: int):
@@ -123,12 +123,10 @@ def _merge_powers(p1, p2, sign: int):
     while i < n1 and j < n2:
         a = p1[i]
         b = p2[j]
-        ka = a[0]._key
-        kb = b[0]._key
-        if ka < kb:
+        if a[0] < b[0]:
             out.append(a)
             i += 1
-        elif kb < ka:
+        elif b[0] < a[0]:
             out.append(b if sign > 0 else (b[0], -b[1]))
             j += 1
         else:
@@ -180,7 +178,7 @@ def mono_cmp(m1: Monomial, m2: Monomial) -> int:
                 return 1 if e1 > e2 else -1
             i += 1
             j += 1
-        elif s1.sort_key() < s2.sort_key():
+        elif s1 < s2:
             return 1 if e1 > 0 else -1
         else:
             return -1 if e2 > 0 else 1
@@ -497,7 +495,7 @@ class Expr:
         for (m, k), c in self.terms.items():
             p = m.powers
             for i, (sym, e) in enumerate(p):
-                if sym is s or sym._key == s._key:
+                if sym == s:
                     # lower the exponent in place; the order stays sorted
                     lowered = ((sym, e - 1),) if e != 1 else ()
                     _accumulate(acc, (Monomial(p[:i] + lowered + p[i + 1:]), k), c * e)
@@ -547,7 +545,7 @@ class Expr:
         missing = [s for s in self.free_symbols() if s not in point]
         if missing:
             raise ExprError(
-                "unbound symbols: " + ", ".join(s.pretty() for s in sorted(missing, key=lambda s: s.sort_key()))
+                "unbound symbols: " + ", ".join(s.pretty() for s in sorted(missing))
             )
         rad_val = None
         if self.has_radical():

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import symbols as sy
 from .expr import Expr, ExprError, ZERO, _q, symbol
@@ -29,8 +28,7 @@ class ClosureError(FieldError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class PointVectorField:
+class PointVectorField(NamedTuple):
     """xi d/dx + tau d/dt + eta d/du; contact fields may carry u_x, u_t."""
 
     xi: Expr
@@ -61,8 +59,7 @@ class PointVectorField:
         )
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class Characteristic(NamedTuple):
     """Evolutionary form Q of a symmetry candidate, with its jet order."""
 
     q: Expr
@@ -72,8 +69,7 @@ class Characteristic:
         return self.q.max_jet_order()
 
 
-@dataclass(frozen=True)
-class ContactData:
+class ContactData(NamedTuple):
     """First-jet components recovered from a characteristic."""
 
     xi: Expr
@@ -133,8 +129,7 @@ def commutator(v: PointVectorField, w: PointVectorField) -> PointVectorField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(NamedTuple):
     """Antisymmetric structure constants c[i][j][k] with [v_i, v_j] = c^k_ij v_k."""
 
     basis: Tuple[PointVectorField, ...]

@@ -11,9 +11,8 @@ cross-checked by an independent chain-rule differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .algebra import exact_matrix_exp
@@ -46,8 +45,7 @@ def _affine_row(comp: Expr) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         ) from None
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     generator: PointVectorField
     eps_name: str
     maps: Tuple[Expr, Expr, Expr]  # images of x, t, u
@@ -132,8 +130,7 @@ def _monomial_scale(m: Expr, var: sy.Sym, name: str) -> Tuple[Expr, Expr]:
     return scale, shift
 
 
-@dataclass
-class InvarianceResult:
+class InvarianceResult(NamedTuple):
     factor: Expr  # Delta o g = factor * Delta
 
     def exponent(self, eps_name: str = "eps") -> Optional[int]:
@@ -172,7 +169,7 @@ def equation_invariance(man: Manifold, g: GroupElement) -> InvarianceResult:
     bindings: Dict[sy.Sym, Expr] = {sy.X: xmap, sy.T: tmap}
     p_inv = p ** -1
     q_inv = q ** -1
-    for s in sorted(delta.free_symbols(), key=lambda s: s.sort_key()):
+    for s in sorted(delta.free_symbols()):
         if s.kind != sy.K_JET:
             continue
         i, j = s.jet_orders
@@ -224,8 +221,7 @@ def transform_solution(g: GroupElement, f: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReducedODE:
+class ReducedODE(NamedTuple):
     family: str
     parameter: Optional[Expr]
     invariant: Expr  # z as an expression in x, t (and the family parameter)
@@ -234,7 +230,7 @@ class ReducedODE:
     rhs: Expr  # image of F
     ode: Expr  # lhs - rhs, normalized
     multiple: Expr  # back-substituted equation equals multiple * ode
-    notes: List[str] = field(default_factory=list)
+    notes: List[str]
 
 
 def _w(k: int) -> Expr:
@@ -243,7 +239,7 @@ def _w(k: int) -> Expr:
 
 def _shift_w(e: Expr) -> Expr:
     total = ZERO
-    for s in sorted(e.free_symbols(), key=lambda s: s.sort_key()):
+    for s in sorted(e.free_symbols()):
         if s.kind == sy.K_ODE and s.data[0] == "w":
             total = total + e.diff_atom(s) * _w(s.data[1] + 1)
     return total

@@ -10,7 +10,6 @@ variants act on the full jet space and are what off-manifold checks use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Union
 
@@ -29,14 +28,14 @@ class JetOrderError(ValueError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
 class Equation:
     """u_xt = rhs, with rhs polynomial in u and pure x-derivatives."""
 
-    rhs: Expr
+    __slots__ = ("rhs",)
 
-    def __post_init__(self):
-        for s in self.rhs.free_symbols():
+    def __init__(self, rhs: Expr):
+        self.rhs = rhs
+        for s in rhs.free_symbols():
             if s.kind == sy.K_JET:
                 i, j = s.jet_orders
                 if j != 0:
@@ -86,7 +85,7 @@ def _total_derivative(e: Expr, direction: int, produce) -> Expr:
     from .expr import ZERO
 
     total = ZERO
-    for s in sorted(e.free_symbols(), key=lambda s: s.sort_key()):
+    for s in sorted(e.free_symbols()):
         rate = _rate(s, direction, produce)
         if rate is None or rate.is_zero():
             continue

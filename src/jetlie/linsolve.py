@@ -24,9 +24,8 @@ spaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .expr import (
@@ -53,8 +52,7 @@ class LinearSolveError(ValueError):
     pass
 
 
-@dataclass
-class NullspaceResult:
+class NullspaceResult(NamedTuple):
     basis: List[List[Expr]]  # each vector indexed by column position
     assumptions: List[str]
     rank: int
@@ -330,16 +328,3 @@ def rational_solve(
         return None, residual
     return x, residual
 
-
-def rational_nullspace(a: List[List[Fraction]]) -> List[List[Fraction]]:
-    ncols = len(a[0]) if a else 0
-    rref, pivots = rational_rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -rref[i][f]
-        out.append(vec)
-    return out

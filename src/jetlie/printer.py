@@ -21,7 +21,7 @@ def _name(sym, mode: str) -> str:
 
 def _mono_str(m: Monomial, mode: str) -> str:
     parts = []
-    for s, e in sorted(m.powers, key=lambda p: p[0].sort_key()):
+    for s, e in sorted(m.powers):
         base = _name(s, mode)
         parts.append(base if e == 1 else f"{base}^{e}")
     return "*".join(parts)

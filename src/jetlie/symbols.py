@@ -1,16 +1,16 @@
 """Symbol identities for the expression kernel.
 
 Every coordinate, parameter, unknown constant, opaque-function derivative
-and auxiliary quantity is a `Sym`.  Symbols are immutable, hashable and
-totally ordered; the order fixes the canonical monomial ordering used
-everywhere else.
+and auxiliary quantity is a `Sym`, the tuple `(kind, data)`.  Symbols are
+immutable, hashable and totally ordered; hashing, equality and the order
+are those of the tuple, and the order fixes the canonical monomial ordering
+used everywhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 # kind tags, in canonical sort order
 K_VAR = 0  # independent variables x, t
@@ -23,33 +23,19 @@ K_EPS = 6  # group parameters
 K_EXP = 7  # exp(group parameter); the only kind allowed negative exponents
 
 
-@dataclass(frozen=True, slots=True)
-class Sym:
-    """A symbol, identified by (kind, data).
+class Sym(NamedTuple):
+    """A symbol, the tuple (kind, data).
 
-    The sort key and the hash are computed once, at construction; the hash
-    equals hash((kind, data)), the value of a plain frozen dataclass, so the
-    iteration order of symbol sets does not depend on the caching.
+    Its hash is hash((kind, data)) and its order the tuple order, both
+    computed by the tuple type itself.
     """
 
     kind: int
     data: tuple
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        key = (self.kind, self.data)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self):
-        return self._hash
 
     def sort_key(self):
-        return self._key
-
-    def __lt__(self, other: "Sym"):
-        return self._key < other._key
+        """The symbol itself, which orders as the tuple (kind, data)."""
+        return self
 
     # -- structured accessors ------------------------------------------------
 

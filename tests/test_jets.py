@@ -57,6 +57,11 @@ def test_equation_rejects_t_derivatives():
         Equation(rhs=ut)
 
 
+def test_equation_rejects_unsupported_symbols():
+    with pytest.raises(ValueError, match="unsupported symbol x in equation"):
+        Equation(rhs=x)
+
+
 def test_reduce_mixed_first_consequences():
     man = Manifold()
     assert man.reduce_mixed(1, 1) == F_SYMBOLIC

@@ -5,7 +5,6 @@ from jetlie import expr as ex
 from jetlie import symbols as sy
 from jetlie.linsolve import (
     linear_solve,
-    rational_nullspace,
     rational_rref,
     rational_solve,
 )
@@ -26,6 +25,22 @@ def columns(*equations):
         sum((ex.as_expr(eq[j]) * x ** i for i, eq in enumerate(equations)), ex.ZERO)
         for j in range(len(equations[0]))
     ]
+
+
+def rational_nullspace(a):
+    """Nullspace basis of a dense rational matrix, read off its rref: the oracle
+    the parametric `linear_solve` is checked against."""
+    ncols = len(a[0]) if a else 0
+    rref, pivots = rational_rref(a)
+    free = [c for c in range(ncols) if c not in pivots]
+    out = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -rref[i][f]
+        out.append(vec)
+    return out
 
 
 def combination(vec, cols):
