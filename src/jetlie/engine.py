@@ -19,7 +19,9 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
-from .expr import Expr, ZERO, _mono_sort_key, as_expr, constant, monomial, sqrt, symbol
+from .expr import (
+    ONE, Expr, ZERO, _mono_sort_key, as_expr, constant, monomial, sqrt, sum_of_products, symbol,
+)
 from .jets import Manifold
 from .linsolve import linear_solve
 from .printer import pretty
@@ -51,7 +53,7 @@ class ResidualReport(NamedTuple):
 
 def frechet_derivative(man: Manifold, q: Expr) -> Expr:
     """Linearization of the equation's right side in the direction q."""
-    total = ZERO
+    pairs = []  # (dF/du_{x^i}, D_x^i q) in symbol order
     dx_powers = [q]  # D_x^n q at index n, extended as needed
     for s in sorted(man.rhs.free_symbols()):
         if s.kind != sy.K_JET:
@@ -60,17 +62,24 @@ def frechet_derivative(man: Manifold, q: Expr) -> Expr:
         assert j == 0
         while len(dx_powers) <= i:
             dx_powers.append(man.total_dx(dx_powers[-1]))
-        total = total + man.rhs.diff(s) * dx_powers[i]
-    return total
+        pairs.append((man.rhs.diff(s), dx_powers[i]))
+    return sum_of_products(pairs)
 
 
 def residual(man: Manifold, q: Expr) -> ResidualReport:
+    """D_x D_t q - F'[q], equal to the chain `total_dx(total_dt(q)) - frechet_derivative`
+    in value and dict order, which orders the rows and so the assumptions: F'[q] is
+    summed apart, as the chain sums it, then taken from D_x D_t q term by term."""
     order = q.max_jet_order()
     if order > man.max_order - 2:
         raise EngineError(
             f"characteristic order {order} exceeds max_order - 2 = {man.max_order - 2}"
         )
-    value = man.total_dx(man.total_dt(q)) - frechet_derivative(man, q)
+    ddq, lin = man.total_dx(man.total_dt(q)), frechet_derivative(man, q)
+    if ddq.radicand is not None or lin.radicand is not None:
+        value = ddq - lin  # one sum, not two products by constants and two sums
+    else:
+        value = sum_of_products([(ONE, ddq), (constant(-1), lin)])
     free = sorted(s for s in value.free_symbols() if s.kind == sy.K_JET)
     return ResidualReport(value=value, is_zero=value.is_zero(), free_coordinates=free)
 

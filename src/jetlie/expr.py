@@ -226,6 +226,19 @@ def _pmul(p1: Poly, p2: Poly) -> Poly:
     return acc
 
 
+def _add_product(total: dict, left: dict, right: dict):
+    """total += left * right in place for radical-free term dicts, keys in the order
+    of `Expr(total) + Expr(left) * Expr(right)`: a product that may cancel a key and
+    add it back is summed apart first, unless a one-term factor maps it one-to-one."""
+    acc = total if len(left) == 1 or len(right) == 1 else {}
+    for (m1, _k1), c1 in left.items():
+        for (m2, _k2), c2 in right.items():
+            _accumulate(acc, (mono_mul(m1, m2), 0), c1 * c2)
+    if acc is not total:
+        for key, c in acc.items():
+            _accumulate(total, key, c)
+
+
 def _plead(p: Poly) -> Monomial:
     return max(p, key=_mono_sort_key)
 
@@ -667,6 +680,17 @@ def constant(c) -> Expr:
     if not c:
         return ZERO
     return Expr({(MONE, 0): c}, None)
+
+
+def sum_of_products(pairs: "list[Tuple[Expr, Expr]]") -> Expr:
+    """ZERO + a1 * b1 + a2 * b2 + ..., in value and in dict order; radical-free
+    pairs are summed in one dict, as `_add_product` keeps that order."""
+    if any(a.radicand is not None or b.radicand is not None for a, b in pairs):
+        return sum((a * b for a, b in pairs), ZERO)
+    terms: Dict[TermKey, Coeff] = {}
+    for a, b in pairs:
+        _add_product(terms, a.terms, b.terms)
+    return Expr(terms, None)
 
 
 def symbol(s: Sym) -> Expr:

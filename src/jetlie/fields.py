@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
 from . import symbols as sy
-from .expr import Expr, ExprError, ZERO, _q, symbol
+from .expr import Expr, _q, symbol
 from .linsolve import rational_solve
 from .printer import pretty
 

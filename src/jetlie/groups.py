@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .algebra import exact_matrix_exp
-from .expr import Expr, ExprError, ONE, ZERO, _q, as_expr, constant, symbol
+from .expr import Expr, ExprError, ONE, ZERO, _q, as_expr, symbol
 from .fields import PointVectorField
 from .jets import Manifold
 from .printer import pretty
@@ -385,7 +385,7 @@ def _reduce_scaling(man: Manifold, weight: int) -> ReducedODE:
     sigma = None
     ode_terms = {}
     z = sy.Z
-    from .expr import Monomial, monomial as make_mono
+    from .expr import monomial as make_mono
 
     for (m, k), c in delta_img.terms.items():
         assert k == 0

@@ -249,8 +249,9 @@ def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
     k_min = min((k for col in columns for _m, k in col.terms if k), default=0)
     poly_rows: Dict[Tuple, Row] = {}
     radical_rows: Dict[Tuple, Row] = {}
+    keys: Dict[Tuple, TermKey] = {}  # one entry key per parameter monomial
     for j, col in enumerate(columns):
-        for k, part in col.strata().items():
+        for k, part in col.strata().items() if col.radicand is not None else ((0, col),):
             rows = poly_rows
             if k:
                 rows = radical_rows
@@ -258,8 +259,9 @@ def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
                     part = part * kernel
             for (m, _k), c in part.terms.items():
                 coord = tuple(p for p in m.powers if p[0].kind != sy.K_PARAM)
-                par = Monomial(tuple(p for p in m.powers if p[0].kind == sy.K_PARAM))
-                rows.setdefault(coord, {}).setdefault(j, {})[(par, 0)] = c
+                par = tuple(p for p in m.powers if p[0].kind == sy.K_PARAM)
+                key = keys.get(par) or keys.setdefault(par, (Monomial(par), 0))
+                rows.setdefault(coord, {}).setdefault(j, {})[key] = c
     return nullspace([*poly_rows.values(), *radical_rows.values()], len(columns))
 
 

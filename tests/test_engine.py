@@ -68,6 +68,32 @@ def test_residual_order_cap():
         residual(man, ex.symbol(sy.jet(3, 0)))
 
 
+def _snapshot(e):
+    return list(e.terms.items()), e.radicand
+
+
+def test_residual_leaves_cached_derivatives_and_its_input_alone():
+    # the memoized mixed derivatives are handed out as rates, and residuals are
+    # summed in raw dicts; neither a cached entry nor q may change under them
+    k3 = parse("u[3,0]*sqrt(2*b*u[1,0]^2 + a)^-3 - 6*b*u[1,0]*u[2,0]^2*sqrt(2*b*u[1,0]^2 + a)^-5")
+    candidates = [
+        ux, ut + ux, x * ux - t * ut - u, u * uxx + ut ** 2, parse("u[0,2]*u[2,0]"), claims.v5(), k3,
+    ]
+    for equation in (expand_equation(), expand_equation(Fraction(1), Fraction(1, 2))):
+        man = Manifold(equation)
+        inputs = [_snapshot(q) for q in candidates]
+        cached = {}
+        for q in candidates:
+            residual(man, q)
+            for key, entry in man._mixed.items():
+                cached.setdefault(key, (entry, _snapshot(entry)))
+            for key, (entry, snapshot) in cached.items():
+                assert man._mixed[key] is entry
+                assert _snapshot(entry) == snapshot
+        assert len(cached) >= 5
+        assert [_snapshot(q) for q in candidates] == inputs
+
+
 def test_determining_system_contains_reference_equations(man):
     arity = (sy.X, sy.T, sy.U, sy.jet(1, 0), sy.jet(0, 1))
     ds = determining_system(man, arity, (sy.jet(2, 0), sy.jet(0, 2)))

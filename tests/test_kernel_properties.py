@@ -11,7 +11,9 @@ radical-free single term, whose kernel pull `_build` may skip, must build
 what the full pull builds, and every radical result must keep its radical
 part free of a factor of the kernel.  Every coefficient is an `int`
 when integral and otherwise a `Fraction` with denominator > 1, never a
-`float`, while `as_fraction` and `eval_at` return `Fraction`s.  `Sym` caches
+`float`, while `as_fraction` and `eval_at` return `Fraction`s.  Total
+derivatives, free and on the manifold, and residuals must equal the chain of
+`Expr` operators that defines them, in value and in dict order.  `Sym` caches
 its hash and sort key, which must not depend on how a symbol was built.
 """
 
@@ -24,9 +26,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from jetlie import claims, jets  # noqa: E402
 from jetlie import expr as ex  # noqa: E402
 from jetlie import symbols as sy  # noqa: E402
+from jetlie.engine import residual  # noqa: E402
 from jetlie.expr import ExprError, mono_div, mono_mul, monomial  # noqa: E402
+from jetlie.parser import parse  # noqa: E402
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 EXPR_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -344,6 +349,151 @@ def test_kernel_with_an_exp_symbol_keeps_the_full_pull():
     root = ex.sqrt(ex.ONE + e)
     assert ((ex.ONE + e ** -1) * root) * e == root ** 3
     assert (e - e ** -1) * root + e ** -1 * root ** 3 == root ** 3
+
+
+# -- total derivatives and residuals against the operator chain --------------------
+
+
+def _chain_total(e, direction, produce):
+    """D(e) as `total + e.diff_atom(s) * rate` over the symbols s in order."""
+    total = ex.ZERO
+    for s in sorted(e.free_symbols()):
+        rate = jets._rate(s, direction, produce)
+        if rate is None or rate.is_zero():
+            continue
+        total = total + e.diff_atom(s) * rate
+    return total
+
+
+def _minus_first_row(p):
+    """-(first term of left) * right + total, so that the keys the first row of
+    left * right adds first cancel to zero, ahead of the keys of total."""
+    total, left, right = p
+    if left:
+        first = dict([next(iter(left.terms.items()))])
+        total = -(ex.Expr(first, None) * right) + total
+    return total, left, right
+
+
+# a square P * P meets the key l1 * l2 twice, once from l1 and once from l2
+product_cases = st.one_of(
+    st.tuples(polys, polys, polys),
+    st.tuples(polys, polys, polys).map(_minus_first_row),
+    st.tuples(polys.filter(bool), polys.filter(lambda p: len(p.terms) > 1)).map(
+        lambda p: _minus_first_row((p[0], p[1], p[1]))
+    ),
+)
+
+
+@EXPR_SETTINGS
+@given(product_cases)
+def test_add_product_matches_the_operators(case):
+    total, left, right = case
+    terms = dict(total.terms)
+    ex._add_product(terms, left.terms, right.terms)
+    _assert_same_build(ex.Expr(terms, None), total + left * right)
+
+
+class _ChainManifold(jets.Manifold):
+    """A manifold whose total derivatives, the memoized mixed ones too, are the chain."""
+
+    def total_dx(self, e):
+        return _chain_total(e, 0, self._producer())
+
+    def total_dt(self, e):
+        return _chain_total(e, 1, self._producer())
+
+
+def _chain_residual(man, q):
+    """D_x D_t q - sum_i dF/du_{x^i} * D_x^i q, by `Expr` operators."""
+    lin = ex.ZERO
+    dx_powers = [q]
+    for s in sorted(man.rhs.free_symbols()):
+        if s.kind != sy.K_JET:
+            continue
+        i, _j = s.jet_orders
+        while len(dx_powers) <= i:
+            dx_powers.append(man.total_dx(dx_powers[-1]))
+        lin = lin + man.rhs.diff(s) * dx_powers[i]
+    return man.total_dx(man.total_dt(q)) - lin
+
+
+JET_ATOMS = [
+    sy.X, sy.T, sy.U, sy.jet(1, 0), sy.jet(2, 0), sy.jet(3, 0), sy.jet(0, 1), sy.jet(0, 2),
+    sy.ALPHA, sy.BETA,
+]
+jet_powers = st.lists(st.tuples(st.sampled_from(JET_ATOMS), st.integers(1, 2)), max_size=3)
+jet_polys = st.lists(st.tuples(coefficients, jet_powers), max_size=4).map(_poly)
+# x u_x - u and t u_t - u: D_x, D_t of p * w cancel a term between the symbols x
+# (or t) and u; the difference of two sums leaves the dict order cancellation set
+SCALINGS = [
+    ex.symbol(sy.X) * ex.symbol(sy.jet(1, 0)) - U_EXPR,
+    ex.symbol(sy.T) * ex.symbol(sy.jet(0, 1)) - U_EXPR,
+]
+cancelling = st.one_of(
+    st.tuples(jet_polys, jet_polys, st.sampled_from(SCALINGS)).map(lambda p: p[0] * p[2] + p[1]),
+    st.tuples(jet_polys, jet_polys, jet_polys).map(lambda p: (p[0] + p[1]) - (p[0] + p[2])),
+)
+# the point symmetries plus a small perturbation: most of the residual cancels
+POINT_SYMMETRIES = [
+    ex.symbol(sy.jet(1, 0)),
+    ex.symbol(sy.jet(0, 1)),
+    SCALINGS[0] - ex.symbol(sy.T) * ex.symbol(sy.jet(0, 1)),
+]
+near_symmetries = st.tuples(st.lists(coefficients, min_size=3, max_size=3), jet_polys).map(
+    lambda p: sum((ex.constant(c) * q for c, q in zip(p[0], POINT_SYMMETRIES)), p[1])
+)
+K3 = parse("u[3,0]*sqrt(2*b*u[1,0]^2 + a)^-3 - 6*b*u[1,0]*u[2,0]^2*sqrt(2*b*u[1,0]^2 + a)^-5")
+RADICAL_CANDIDATES = [K3, claims.v4("third"), claims.v4("cubed"), ROOT * ex.symbol(sy.jet(2, 0))]
+characteristics = st.one_of(
+    jet_polys, cancelling, near_symmetries, radicals, st.sampled_from(RADICAL_CANDIDATES)
+)
+# the symbolic equation and a rational point
+EQUATIONS = [jets.expand_equation(), jets.expand_equation(Fraction(1), Fraction(1, 2))]
+
+
+def _manifolds():
+    return [(jets.Manifold(eq), _ChainManifold(eq)) for eq in EQUATIONS]
+
+
+@EXPR_SETTINGS
+@given(characteristics)
+def test_total_derivatives_match_the_operator_chain(e):
+    free = jets._free_producer(jets.DEFAULT_MAX_ORDER)
+    for direction, derivative in enumerate((jets.free_total_dx, jets.free_total_dt)):
+        _assert_same_build(derivative(e), _chain_total(e, direction, free))
+    for man, chain in _manifolds():
+        _assert_same_build(man.total_dx(e), chain.total_dx(e))
+        _assert_same_build(man.total_dt(e), chain.total_dt(e))
+        _assert_same_build(man.total_dx(man.total_dt(e)), chain.total_dx(chain.total_dt(e)))
+        for key, entry in man._mixed.items():
+            _assert_same_build(entry, chain.reduce_mixed(*key))
+
+
+@EXPR_SETTINGS
+@given(characteristics)
+def test_residual_matches_the_operator_chain(q):
+    for man, chain in _manifolds():
+        value = residual(man, q).value
+        _assert_same_build(value, _chain_residual(chain, q))
+        assert value.has_radical() == (value.radicand is not None)
+
+
+@pytest.mark.parametrize("q", RADICAL_CANDIDATES, ids=["K3", "v4-third", "v4-cubed", "root-uxx"])
+def test_radical_candidates_match_the_operator_chain(q):
+    for man, chain in _manifolds():
+        _assert_same_build(man.total_dx(q), chain.total_dx(q))
+        _assert_same_build(man.total_dt(q), chain.total_dt(q))
+        _assert_same_build(residual(man, q).value, _chain_residual(chain, q))
+
+
+def test_the_chain_residual_cancels_on_a_symmetry():
+    point = {sy.ALPHA: ex.ONE, sy.BETA: ex.constant(Fraction(1, 2))}
+    for (man, chain), bindings in zip(_manifolds(), ({}, point)):
+        for q in POINT_SYMMETRIES + [K3]:
+            q = q.substitute(bindings)
+            assert residual(man, q).is_zero
+            assert _chain_residual(chain, q).is_zero()
 
 
 # -- the coefficient domain ---------------------------------------------------------
