@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .expr import (
-    ONE, Expr, ZERO, _mono_sort_key, as_expr, constant, monomial, sqrt, sum_of_products, symbol,
+    Expr, ZERO, _mono_sort_key, as_expr, constant, monomial, sqrt, sum_of_products, symbol,
 )
 from .jets import Manifold
 from .linsolve import linear_solve
@@ -67,19 +67,15 @@ def frechet_derivative(man: Manifold, q: Expr) -> Expr:
 
 
 def residual(man: Manifold, q: Expr) -> ResidualReport:
-    """D_x D_t q - F'[q], equal to the chain `total_dx(total_dt(q)) - frechet_derivative`
-    in value and dict order, which orders the rows and so the assumptions: F'[q] is
-    summed apart, as the chain sums it, then taken from D_x D_t q term by term."""
+    """D_x D_t q - F'[q].  Its dict order orders the rows and so the assumptions: the
+    total derivatives and F'[q] keep the dict order of their `Expr` operator chains
+    (`sum_of_products`), and the difference is one `-`."""
     order = q.max_jet_order()
     if order > man.max_order - 2:
         raise EngineError(
             f"characteristic order {order} exceeds max_order - 2 = {man.max_order - 2}"
         )
-    ddq, lin = man.total_dx(man.total_dt(q)), frechet_derivative(man, q)
-    if ddq.radicand is not None or lin.radicand is not None:
-        value = ddq - lin  # one sum, not two products by constants and two sums
-    else:
-        value = sum_of_products([(ONE, ddq), (constant(-1), lin)])
+    value = man.total_dx(man.total_dt(q)) - frechet_derivative(man, q)
     free = sorted(s for s in value.free_symbols() if s.kind == sy.K_JET)
     return ResidualReport(value=value, is_zero=value.is_zero(), free_coordinates=free)
 

@@ -9,8 +9,9 @@ variants act on the full jet space and are what off-manifold checks use.
 
 D(e) = sum of (de/ds) * D(s) over the symbols s of e, in order, equals the chain
 `total + e.diff_atom(s) * rate` in value and dict order, which orders residual terms,
-rows and assumptions: radical-free, de/ds keeps e's term order and `_add_product` that
-of `*` and `+`; radicals keep the chain.  Rates are memoized: never write into them.
+rows and assumptions: `sum_of_products` adds radical-free products into one dict in
+the order of `*` and `+`, and keeps the chain for radicals.  Rates are memoized:
+never write into them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Union
 
 from . import symbols as sy
-from .expr import ONE, ZERO, Expr, Monomial, _add_product, as_expr, symbol
+from .expr import ONE, Expr, as_expr, sum_of_products, symbol
 
 DEFAULT_MAX_ORDER = 12
 
@@ -92,20 +93,7 @@ def _total_derivative(e: Expr, direction: int, produce) -> Expr:
         rate = _rate(s, direction, produce)
         if rate is not None and not rate.is_zero():
             rates.append((s, rate))
-    if e.radicand is not None or any(rate.radicand is not None for _s, rate in rates):
-        return sum((e.diff_atom(s) * rate for s, rate in rates), ZERO)
-    terms = {}
-    for s, rate in rates:
-        partial = {}  # e.diff_atom(s).terms
-        for (m, _k), c in e.terms.items():
-            p = m.powers
-            for i, (sym, n) in enumerate(p):
-                if sym == s:
-                    lowered = ((sym, n - 1),) if n != 1 else ()
-                    partial[(Monomial(p[:i] + lowered + p[i + 1:]), 0)] = c * n
-                    break
-        _add_product(terms, partial, rate.terms)
-    return Expr(terms, None)
+    return sum_of_products([(e.diff_atom(s), rate) for s, rate in rates])
 
 
 def free_total_dx(e: Expr, max_order: int = DEFAULT_MAX_ORDER) -> Expr:
