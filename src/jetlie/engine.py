@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .expr import (
-    Expr, ZERO, _mono_sort_key, as_expr, constant, monomial, sqrt, sum_of_products, symbol,
+    Expr, ZERO, as_expr, constant, grlex_key, monomial, sqrt, sum_of_products, symbol,
 )
 from .jets import Manifold
 from .linsolve import linear_solve
@@ -287,10 +287,9 @@ def _function_space_reduce(pairs):
     pairs = [(q, entries) for q, entries in pairs]
     if not pairs:
         return [], 0
-    keys = sorted(
-        {key for q, _ in pairs for key in q.terms},
-        key=lambda key: (_mono_sort_key(key[0]), key[1]),
-    )
+    keys = {key for q, _ in pairs for key in q.terms}
+    grlex = grlex_key(m for m, _k in keys)
+    keys = sorted(keys, key=lambda key: (grlex(key[0]), key[1]))
     n = len(pairs)
     rows = []
     for i, (q, _) in enumerate(pairs):
@@ -411,7 +410,8 @@ def new_dimension_count(characteristics: Sequence[Expr], order: int) -> int:
                 high_keys.append((m, k))
     if not high_keys:
         return 0
-    high_keys.sort(key=lambda key: (_mono_sort_key(key[0]), key[1]))
+    grlex = grlex_key(m for m, _k in high_keys)
+    high_keys.sort(key=lambda key: (grlex(key[0]), key[1]))
     rows = [
         [q.terms.get(key, Fraction(0)) for key in high_keys]
         for q in characteristics

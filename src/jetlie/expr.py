@@ -15,6 +15,20 @@ w = a + b R^((l-k)/2), which is a modulo R; (2) for a radical times a
 radical-free c*m, gcd(R, m) = 1 unless a symbol of m divides every term of
 R, so R | w*m would need R | w.  A one-stratum sum keeps the pull.
 
+A `Monomial` is an `int` that packs an exponent vector (Bachmann and
+Schoenemann, ISSAC 1998; Monagan and Pearce, CASC 2007).  On first sight a
+symbol gets a 32-bit slot, numbered in order of registration; a `K_EXP`
+symbol gets two adjacent slots, for the positive and the negative part of its
+exponent, so every slot holds an exponent in [0, 2^31 - 1] and its top bit,
+the guard, stays clear.  A product is then one addition: a guard bit that
+comes up is an overflow, which raises `ExprError` instead of wrapping.  A
+quotient is one subtraction (m | G) - d, where a guard bit that goes down is a
+negative exponent.  Hashing and equality are those of `int`.  Only products
+that touch a `K_EXP` slot take a second look, to cancel its two parts.  Slot
+numbers depend on the order in which a process meets its symbols, so nothing
+may order or print by them: `grlex_key` sorts by the symbols themselves, and
+`Monomial.powers` decodes the sorted ((symbol, exponent), ...) view.
+
 A coefficient is an `int` when it is integral and otherwise a
 `fractions.Fraction` with denominator > 1; `_q` maps a result into that
 domain, and every division goes through `Fraction`.  `as_fraction` and
@@ -24,12 +38,11 @@ point except the explicitly-floating evaluation mode.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .symbols import Sym, allows_negative_power
+from .symbols import K_EXP, Sym, allows_negative_power
 
 Coeff = Union[int, Fraction]
 QZERO = Fraction(0)
@@ -50,55 +63,119 @@ class KernelConflictError(ExprError):
 
 
 # ---------------------------------------------------------------------------
-# monomials
+# monomials: packed exponent vectors
 # ---------------------------------------------------------------------------
 
+_W = 32  # bits per slot
+MAX_EXPONENT = (1 << (_W - 1)) - 1  # the top bit of a slot is its overflow guard
+_M = (1 << _W) - 1
 
-class Monomial:
-    """A product of symbol powers.
+_OFFSET: Dict[Sym, int] = {}  # symbol -> bit offset of its slot (K_EXP: the positive one)
+_SLOT_SYM: List[Tuple[Sym, int]] = []  # slot index -> (symbol, sign of the exponents it holds)
+_EXP_OFFSETS: List[int] = []  # positive-slot offsets of the K_EXP symbols
+_GUARD = 0  # the guard bit of every slot
+_EXP_POS = 0  # every bit of the positive K_EXP slots
+_EXP = 0  # every bit of both K_EXP slots
+_CHECK = 0  # _GUARD | _EXP: a product needs a second look only when it hits this
+KIND_MASKS = [0] * (K_EXP + 1)  # every bit of the slots of each symbol kind
 
-    Invariant: `powers` is sorted by the symbol order, holds each symbol at most
-    once and no zero exponent, and only `K_EXP` symbols carry negative
-    exponents.  `monomial()` establishes it for arbitrary input; `mono_mul`
-    and `mono_div` rely on it to merge two power tuples in one pass.
+
+def _offset(s: Sym) -> int:
+    """The bit offset of s's slot, giving s one on first sight (K_EXP: two)."""
+    global _GUARD, _EXP_POS, _EXP, _CHECK
+    off = _OFFSET.get(s)
+    if off is None:
+        off = _OFFSET[s] = _W * len(_SLOT_SYM)
+        signs = (1, -1) if s.kind == K_EXP else (1,)
+        for i, sign in enumerate(signs):
+            _SLOT_SYM.append((s, sign))
+            _GUARD |= 1 << (off + _W * i + _W - 1)
+        full = ((1 << (_W * len(signs))) - 1) << off
+        KIND_MASKS[s.kind] |= full
+        if s.kind == K_EXP:
+            _EXP_OFFSETS.append(off)
+            _EXP_POS |= _M << off
+            _EXP |= full
+        _CHECK = _GUARD | _EXP
+    return off
+
+
+def _slots(v: int):
+    """(offset, raw exponent) of every nonzero slot of v, lowest first."""
+    while v:
+        off = ((v & -v).bit_length() - 1) & -_W
+        e = (v >> off) & _M
+        v ^= e << off
+        yield off, e
+
+
+def _symbol_set(v: int) -> set:
+    """The symbols whose slots hold a set bit of v."""
+    out = set()
+    while v:
+        off = ((v & -v).bit_length() - 1) & -_W
+        out.add(_SLOT_SYM[off // _W][0])
+        v &= ~(_M << off)
+    return out
+
+
+def _named(v: int) -> List[Sym]:
+    """`_symbol_set(v)` in symbol order."""
+    return sorted(_symbol_set(v))
+
+
+class Monomial(int):
+    """A product of symbol powers, packed into one int.
+
+    Each symbol owns a `_W`-bit slot at `_offset(s)` and stores its exponent
+    there; a `K_EXP` symbol owns two adjacent slots, the positive and the
+    negative part of its exponent, at most one of them nonzero.  Exponents
+    lie in [0, MAX_EXPONENT], so every guard bit is clear.  `powers` decodes
+    the int into the sorted ((symbol, exponent), ...) view.
     """
 
-    __slots__ = ("powers", "_hash")
+    __slots__ = ()
 
-    def __init__(self, powers: Tuple[Tuple[Sym, int], ...]):
-        self.powers = powers
-        self._hash = hash(powers)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.powers == other.powers
+    @property
+    def powers(self) -> Tuple[Tuple[Sym, int], ...]:
+        out = []
+        for off, e in _slots(self):
+            sym, sign = _SLOT_SYM[off // _W]
+            out.append((sym, sign * e))
+        return tuple(sorted(out))
 
     def __repr__(self):
-        if not self.powers:
+        if not self:
             return "1"
         return "*".join(
             s.pretty() + (f"^{e}" if e != 1 else "") for s, e in self.powers
         )
 
-    def degree(self) -> int:
-        return sum(e for _, e in self.powers)
-
     def exponent(self, s: Sym) -> int:
-        for sym, e in self.powers:
-            if sym == s:
-                return e
-        return 0
+        off = _OFFSET.get(s)
+        if off is None:
+            return 0
+        e = (self >> off) & _M
+        if s.kind == K_EXP:
+            e -= (self >> (off + _W)) & _M
+        return e
 
-    def symbols(self):
-        return [s for s, _ in self.powers]
+    def symbols(self) -> List[Sym]:
+        return _named(self)
 
     def is_unit(self) -> bool:
-        return not self.powers
+        return not self
 
 
-MONE = Monomial(())
+MONE = Monomial(0)
+
+
+def _out_of_range(v: int) -> ExprError:
+    """The error for a product or quotient whose guard bits `v` came up."""
+    return ExprError(
+        f"exponent of {_named(v)[0].pretty()} out of range: "
+        f"|n| must be at most {MAX_EXPONENT}"
+    )
 
 
 def monomial(pairs: Iterable[Tuple[Sym, int]]) -> Monomial:
@@ -112,84 +189,100 @@ def monomial(pairs: Iterable[Tuple[Sym, int]]) -> Monomial:
     for s, e in acc.items():
         if e < 0 and not allows_negative_power(s):
             raise ExprError(f"negative exponent on {s.pretty()}")
-    return Monomial(tuple(sorted(acc.items())))
+    v = 0
+    for s, e in acc.items():
+        if abs(e) > MAX_EXPONENT:
+            raise ExprError(
+                f"exponent of {s.pretty()} out of range: |n| must be at most {MAX_EXPONENT}"
+            )
+        off = _offset(s)
+        v |= e << off if e > 0 else -e << (off + _W)
+    return Monomial(v)
 
 
-def _merge_powers(p1, p2, sign: int):
-    """Sorted powers of p1 * p2^sign, for two sorted power tuples."""
-    out = []
-    i = j = 0
-    n1, n2 = len(p1), len(p2)
-    while i < n1 and j < n2:
-        a = p1[i]
-        b = p2[j]
-        if a[0] < b[0]:
-            out.append(a)
-            i += 1
-        elif b[0] < a[0]:
-            out.append(b if sign > 0 else (b[0], -b[1]))
-            j += 1
-        else:
-            e = a[1] + sign * b[1]
-            if e:
-                out.append((a[0], e))
-            i += 1
-            j += 1
-    out.extend(p1[i:])
-    out.extend(p2[j:] if sign > 0 else ((s, -e) for s, e in p2[j:]))
-    return tuple(out)
+def _exp_normal(v: int) -> int:
+    """v with the two slots of each K_EXP symbol cancelled down to one."""
+    for off in _EXP_OFFSETS:
+        p = (v >> off) & _M
+        n = (v >> (off + _W)) & _M
+        if p and n:
+            c = min(p, n)
+            v -= (c << off) | (c << (off + _W))
+    return v
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1.powers:
+    if not m1:
         return m2
-    if not m2.powers:
+    if not m2:
         return m1
-    return Monomial(_merge_powers(m1.powers, m2.powers, 1))
+    r = m1 + m2
+    if r & _CHECK:
+        if r & _GUARD:
+            raise _out_of_range(r & _GUARD)
+        r = _exp_normal(r)
+    return Monomial(r)
+
+
+def _exp_inverse(m: int) -> Monomial:
+    """1/m for m in K_EXP symbols only: each positive slot swaps with its negative one."""
+    return Monomial(((m & _EXP_POS) << _W) | ((m >> _W) & _EXP_POS))
 
 
 def mono_divides(d: Monomial, m: Monomial) -> bool:
-    return all(m.exponent(s) >= e for s, e in d.powers)
+    if (d | m) & _EXP:
+        return all(m.exponent(s) >= e for s, e in d.powers)
+    return ((m | _GUARD) - d) & _GUARD == _GUARD
 
 
 def mono_div(m: Monomial, d: Monomial) -> Monomial:
-    powers = _merge_powers(m.powers, d.powers, -1)
-    bad = [s for s, e in powers if e < 0 and not allows_negative_power(s)]
+    """m / d; a guard bit that the subtraction clears marks a negative exponent."""
+    d_exp = d & _EXP
+    r = (m | _GUARD) - (d ^ d_exp)
+    bad = _GUARD & ~r
     if bad:
         # name the symbol `monomial()` would: those of m first, then those of d
-        in_m = {s for s, _ in m.powers}
-        first = next((s for s in bad if s in in_m), bad[0])
+        syms = _named(bad)
+        first = next((s for s in syms if m.exponent(s)), syms[0])
         raise ExprError(f"negative exponent on {first.pretty()}")
-    return Monomial(powers)
+    r ^= _GUARD
+    if d_exp:
+        return mono_mul(Monomial(r), _exp_inverse(d_exp))
+    return Monomial(r)
 
 
-def mono_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded lexicographic comparison over the global symbol order."""
-    d1, d2 = m1.degree(), m2.degree()
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i, j = 0, 0
-    p1, p2 = m1.powers, m2.powers
-    while i < len(p1) and j < len(p2):
-        s1, e1 = p1[i]
-        s2, e2 = p2[j]
-        if s1 == s2:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif s1 < s2:
-            return 1 if e1 > 0 else -1
-        else:
-            return -1 if e2 > 0 else 1
-    if i < len(p1):
-        return 1 if p1[i][1] > 0 else -1
-    if j < len(p2):
-        return -1 if p2[j][1] > 0 else 1
-    return 0
+def mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
+    """The exponentwise minimum of two monomials free of K_EXP symbols."""
+    if (m1 | m2) & _EXP:
+        raise ExprError("mono_gcd takes monomials without exp symbols")
+    ge = (((m1 | _GUARD) - m2) & _GUARD) >> (_W - 1)  # bit 0 of each slot where m1 >= m2
+    mask = (ge << _W) - ge  # those slots, every bit
+    return Monomial((m2 & mask) | (m1 & ~mask))
 
 
-_mono_sort_key = functools.cmp_to_key(mono_cmp)
+def grlex_key(monomials: Iterable[Monomial]) -> Callable[[Monomial], int]:
+    """A sort key for graded lexicographic order on monomials in the symbols of
+    `monomials`: the degree, then the exponent of each symbol in symbol order,
+    the first symbol highest.  Each key repacks the slots into one int, the
+    degree on top and each exponent below it in a `_W`-bit field; a field may
+    be negative, which keeps the order since |exponent| < 2^(_W - 1)."""
+    used = 0
+    for m in monomials:
+        used |= m
+    fields = [(_OFFSET[s], s.kind == K_EXP) for s in _named(used)]
+    width = _W * len(fields)
+
+    def key(m: Monomial) -> int:
+        k = deg = 0
+        for off, signed in fields:
+            e = (m >> off) & _M
+            if signed:
+                e -= (m >> (off + _W)) & _M
+            deg += e
+            k = (k << _W) + e
+        return (deg << width) + k
+
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +332,18 @@ def _add_product(total: dict, left: dict, right: dict):
             _accumulate(total, key, c)
 
 
-def _plead(p: Poly) -> Monomial:
-    return max(p, key=_mono_sort_key)
-
-
 def _pdiv_exact(num: Poly, den: Poly) -> Optional[Poly]:
     """num / den when exact, else None.  den must be nonzero."""
     if not num:
         return {}
     rem = dict(num)
-    lead = _plead(den)
+    # every remainder monomial lies in the symbols of num and den
+    key = grlex_key([*num, *den])
+    lead = max(den, key=key)
     lead_c = den[lead]
     quot: Poly = {}
     while rem:
-        rl = _plead(rem)
+        rl = max(rem, key=key)
         if not mono_divides(lead, rl):
             return None
         qm = mono_div(rl, lead)
@@ -344,7 +435,7 @@ class Expr:
                 _padd_into(w, shifted)
             # pull kernel factors out of w unless R is a constant (the quotient never
             # terminates) or a rule shows that none comes out; the rules need R free of exp
-            pull = pull or any(allows_negative_power(s) for m in rad_poly for s, _ in m.powers)
+            pull = pull or any(m & _EXP for m in rad_poly)
             if pull and not (len(rad_poly) == 1 and MONE in rad_poly):
                 while w:
                     q = _pdiv_exact(w, rad_poly)
@@ -391,9 +482,10 @@ class Expr:
         return f"Expr({pretty(self)})"
 
     def free_symbols(self):
-        out = set()
+        used = 0
         for (m, _k) in self.terms:
-            out.update(m.symbols())
+            used |= m
+        out = _symbol_set(used)
         if self.radicand is not None and any(k for (_, k) in self.terms):
             out.update(self.radicand.free_symbols())
         return out
@@ -455,7 +547,12 @@ class Expr:
         pull = rad is None or plain.radicand is not None or len(plain.terms) != 1
         if not pull:  # rule 2: gcd(R, m) = 1 unless a symbol of m divides every term of R
             (m, _k), = plain.terms
-            pull = any(all(mr.exponent(s) for mr, _ in rad.terms) for s, _ in m.powers)
+            # v + low sets the guard bit of each nonzero slot of v
+            low = _GUARD - (_GUARD >> (_W - 1))
+            shared = (m + low) & _GUARD
+            for mr, _k in rad.terms:
+                shared &= mr + low
+            pull = bool(shared)
         return Expr._build(acc, rad, pull)
 
     __rmul__ = __mul__
@@ -484,9 +581,9 @@ class Expr:
         if len(self.terms) != 1:
             raise ExprError("can only invert a single-term expression")
         ((m, k), c), = self.terms.items()
-        if any(not allows_negative_power(s) for s in m.symbols()):
+        if m & ~_EXP:
             raise ExprError("inverse would need a negative symbol power")
-        inv_m = monomial(tuple((s, -e) for s, e in m.powers))
+        inv_m = _exp_inverse(m)
         return Expr._build({(inv_m, -k): _q(Fraction(1, c))}, self.radicand)
 
     # -- calculus ----------------------------------------------------------------
@@ -505,14 +602,15 @@ class Expr:
         if self.radicand is not None:
             rad_diff = self.radicand.diff(s)
 
+        off = _OFFSET.get(s)  # None: no term holds s
+        signed = s.kind == K_EXP
+        one = 0 if off is None else 1 << off
         for (m, k), c in self.terms.items():
-            p = m.powers
-            for i, (sym, e) in enumerate(p):
-                if sym == s:
-                    # lower the exponent in place; the order stays sorted
-                    lowered = ((sym, e - 1),) if e != 1 else ()
-                    _accumulate(acc, (Monomial(p[:i] + lowered + p[i + 1:]), k), c * e)
-                    break
+            if one:
+                e = m.exponent(s) if signed else (m >> off) & _M
+                if e:  # lower the exponent: one subtraction, a division for exp(eps)
+                    lowered = mono_div(m, Monomial(one)) if signed else Monomial(m - one)
+                    _accumulate(acc, (lowered, k), c * e)
             if k != 0 and rad_diff is not None and not rad_diff.is_zero():
                 half_k = Fraction(k, 2)
                 for (mr, kr), cr in rad_diff.terms.items():
@@ -601,10 +699,8 @@ class Expr:
         """
         groups: Dict[Monomial, Dict[TermKey, Coeff]] = {}
         for (m, k), c in self.terms.items():
-            sel = [(s, e) for s, e in m.powers if selector(s)]
-            rest = [(s, e) for s, e in m.powers if not selector(s)]
-            key = Monomial(tuple(sel))
-            groups.setdefault(key, {})[(Monomial(tuple(rest)), k)] = c
+            sel = sum(e << off for off, e in _slots(m) if selector(_SLOT_SYM[off // _W][0]))
+            groups.setdefault(Monomial(sel), {})[(Monomial(m - sel), k)] = c
         return {
             key: Expr._build(terms, self.radicand) for key, terms in groups.items()
         }
@@ -647,7 +743,8 @@ class Expr:
         if not self.terms:
             return self
         rat, mono = self.content()
-        lead = max(self.terms, key=lambda key: (_mono_sort_key(key[0]), key[1]))
+        grlex = grlex_key(m for m, _k in self.terms)
+        lead = max(self.terms, key=lambda key: (grlex(key[0]), key[1]))
         # each c / (sign * rat) is the integer sign * (n/num) * (den/d)
         num = rat.numerator if self.terms[lead] > 0 else -rat.numerator
         den = rat.denominator

@@ -32,15 +32,17 @@ from .expr import (
     Coeff,
     Expr,
     ExprError,
+    KIND_MASKS,
     MONE,
     ONE,
     ZERO,
     Monomial,
     TermKey,
-    _mono_sort_key,
     common_kernel,
     expr_div_exact,
+    grlex_key,
     mono_div,
+    mono_gcd,
 )
 from .printer import pretty
 
@@ -73,12 +75,14 @@ def _normalize(entries: Sequence[Entry]) -> Tuple[Monomial, List[Dict[TermKey, i
             den = math.lcm(den, c.denominator)
             if shared is None:
                 shared = m
-            elif shared.powers and m != shared:
-                cur = dict(m.powers)
-                shared = Monomial(tuple((s, min(e, cur[s])) for s, e in shared.powers if s in cur))
+            elif shared and m != shared:
+                shared = mono_gcd(shared, m)
     first = entries[0]
-    lead = next(iter(first)) if len(first) == 1 else max(
-        first, key=lambda key: (_mono_sort_key(key[0]), key[1]))
+    if len(first) == 1:
+        lead = next(iter(first))
+    else:
+        grlex = grlex_key(m for m, _k in first)
+        lead = max(first, key=lambda key: (grlex(key[0]), key[1]))
     if first[lead] < 0:
         num = -num
     return shared, [
@@ -247,9 +251,10 @@ def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
     """
     kernel = common_kernel(*columns)
     k_min = min((k for col in columns for _m, k in col.terms if k), default=0)
-    poly_rows: Dict[Tuple, Row] = {}
-    radical_rows: Dict[Tuple, Row] = {}
-    keys: Dict[Tuple, TermKey] = {}  # one entry key per parameter monomial
+    poly_rows: Dict[int, Row] = {}  # keyed by the coordinate part of the monomial
+    radical_rows: Dict[int, Row] = {}
+    keys: Dict[int, TermKey] = {}  # one entry key per parameter monomial
+    param = KIND_MASKS[sy.K_PARAM]
     for j, col in enumerate(columns):
         for k, part in col.strata().items() if col.radicand is not None else ((0, col),):
             rows = poly_rows
@@ -258,10 +263,9 @@ def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
                 for _ in range((k - k_min) // 2):
                     part = part * kernel
             for (m, _k), c in part.terms.items():
-                coord = tuple(p for p in m.powers if p[0].kind != sy.K_PARAM)
-                par = tuple(p for p in m.powers if p[0].kind == sy.K_PARAM)
+                par = m & param
                 key = keys.get(par) or keys.setdefault(par, (Monomial(par), 0))
-                rows.setdefault(coord, {}).setdefault(j, {})[key] = c
+                rows.setdefault(m ^ par, {}).setdefault(j, {})[key] = c
     return nullspace([*poly_rows.values(), *radical_rows.values()], len(columns))
 
 

@@ -6,8 +6,9 @@
     atom   := INT | 'x' | 't' | 'u' | 'u[i,j]' | 'a' | 'b' | 'cN'
             | '(' expr ')' | 'sqrt' '(' expr ')'
 
-Division is restricted to rational constants and sqrt factors; everything
-else is a syntax error carrying line and column.
+Division is restricted to rational constants and sqrt factors, and an
+exponent to |n| <= 2^31 - 1 (`expr.MAX_EXPONENT`); everything else is a
+syntax error carrying line and column.
 """
 
 from __future__ import annotations
@@ -141,9 +142,16 @@ class _Parser:
             if etok.kind != "INT":
                 raise ParseError("expected an integer exponent", etok.line, etok.col)
             n = sign * int(etok.text)
+            if abs(n) > ex.MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {n} is out of range: |n| must be at most {ex.MAX_EXPONENT}",
+                    etok.line, etok.col,
+                )
             try:
                 return base ** n
             except ex.ExprError:
+                if n >= 0:  # an exponent that overflows in the power itself
+                    raise
                 raise ParseError(
                     "negative powers are only allowed on rational constants "
                     "or sqrt factors",

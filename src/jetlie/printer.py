@@ -8,7 +8,7 @@ before the radical stratum, so output is stable for golden tests.
 
 from __future__ import annotations
 
-from .expr import Coeff, Expr, Monomial, _mono_sort_key
+from .expr import Coeff, Expr, Monomial, grlex_key
 
 
 class PrintError(ValueError):
@@ -21,7 +21,7 @@ def _name(sym, mode: str) -> str:
 
 def _mono_str(m: Monomial, mode: str) -> str:
     parts = []
-    for s, e in sorted(m.powers):
+    for s, e in m.powers:
         base = _name(s, mode)
         parts.append(base if e == 1 else f"{base}^{e}")
     return "*".join(parts)
@@ -61,9 +61,10 @@ def _render(e: Expr, mode: str) -> str:
     by_stratum = {}
     for key in e.terms:
         by_stratum.setdefault(key[1], []).append(key)
+    grlex = grlex_key(m for m, _k in e.terms)
     out = []
     for k in sorted(by_stratum, key=lambda k: (k != 0, k)):
-        group = sorted(by_stratum[k], key=lambda key: _mono_sort_key(key[0]), reverse=True)
+        group = sorted(by_stratum[k], key=lambda key: grlex(key[0]), reverse=True)
         for m, kk in group:
             c = e.terms[(m, kk)]
             s = _term_str(m, kk, c, rad_str, mode)

@@ -9,6 +9,8 @@ change of the reports with
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from jetlie.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CASES = {
     "point-affine": ["solve", "point-affine"],
@@ -43,9 +46,11 @@ COMMAND_CASES = {
     "reduce-v3": ["reduce", "--rep=v3"],
     "flow-v3": ["flow", "--gen", "3"],
     "flow-combination": ["flow", "--gen=1,-2,3"],
+    # a large exponent that still fits its slot
+    "verify-u40000": ["verify", "--", "u^40000"],
 }
 # `verify` exits 1 when a candidate is not a symmetry
-EXIT_CODES = {"verify-weight3-both": 1}
+EXIT_CODES = {"verify-weight3-both": 1, "verify-u40000": 1}
 POINTS = {"sym": [], "a1-b1_2": ["--alpha", "1", "--beta", "1/2"]}
 SUFFIX = {"text": "txt", "json": "json"}
 
@@ -97,6 +102,16 @@ COMMAND_INPUT_ERRORS = [
         "error: normalize takes three coefficients or --two, not both\n",
     ),
     (["normalize", "1", "2"], "error: normalize needs three coefficients or --two\n"),
+    # an exponent beyond the range of a monomial slot, written or reached by a product
+    (
+        ["verify", "--", "u^3000000000"],
+        "error: exponent 3000000000 is out of range: |n| must be at most 2147483647 "
+        "(line 1, column 3)\n",
+    ),
+    (
+        ["verify", "--", "u^2000000000*u^2000000000"],
+        "error: exponent of u out of range: |n| must be at most 2147483647\n",
+    ),
 ]
 
 # an option value that starts with '-' reads as in the `=` form
@@ -177,6 +192,8 @@ def test_flow_input_error(argv, stderr, capsys):
         "verify-parse",
         "normalize-both",
         "normalize-two-coefficients",
+        "verify-exponent-range",
+        "verify-exponent-overflow",
     ],
 )
 def test_command_input_error(argv, stderr, capsys):
@@ -249,6 +266,39 @@ def test_command_goldens_repeat_in_one_process(capsys):
     order: nothing one call parses or builds leaks into the next."""
     for name, argv, exit_code in COMMAND_RUNS + COMMAND_RUNS[::-1]:
         _check_golden(name, argv, exit_code, capsys)
+
+
+# A monomial's slot numbers follow the order in which a process first meets its
+# symbols.  This process meets a K_ODE, a K_CONST, exp(eps), u_{x^12} and beta
+# before alpha, ahead of every golden command; the reports must not change.
+_SCRAMBLED = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from jetlie import expr, symbols as sy
+for s in (sy.Z, sy.const("k"), sy.exp_eps(), sy.jet(12, 0), sy.BETA, sy.ALPHA):
+    expr.symbol(s)
+assert [sym for sym, _sign in expr._SLOT_SYM[:2]] == [sy.Z, sy.const("k")]
+assert expr._OFFSET[sy.BETA] < expr._OFFSET[sy.ALPHA]
+from jetlie.cli import main
+out = {}
+for name, argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out[name] = [code, buf.getvalue()]
+print(json.dumps(out))
+"""
+
+
+def test_reports_do_not_depend_on_the_slot_order():
+    runs = GOLDEN_RUNS + COMMAND_RUNS
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _SCRAMBLED, str(SRC), json.dumps([run[:2] for run in runs])],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    out = json.loads(done.stdout)
+    for name, _argv, exit_code in runs:
+        assert out[name] == [exit_code, (GOLDEN / name).read_text()], name
 
 
 if __name__ == "__main__":

@@ -1,7 +1,11 @@
 """Property tests for the expression kernel primitives.
 
-`mono_mul` and `mono_div` merge sorted power tuples; they must agree with
-`monomial()`, the validating constructor, on every symbol kind.  `Expr`
+`mono_mul` and `mono_div` add and subtract packed exponent vectors; they must
+agree with `monomial()`, the validating constructor, on every symbol kind,
+and raise `ExprError` instead of wrapping when an exponent leaves its slot.
+`grlex_key` must sort as `mono_cmp`, the comparison of decoded power tuples
+kept here as its oracle; `free_symbols` and the parameter mask split of
+`linear_solve` must agree with the decoded symbols.  `Expr`
 arithmetic must satisfy the ring laws and `diff_atom` the Leibniz rule, on
 polynomials and on expressions over one radical kernel.  An `Expr` carries a
 radicand exactly when it has a radical term, which `has_radical` relies on,
@@ -17,6 +21,7 @@ derivatives, free and on the manifold, and residuals must equal the chain of
 its hash and sort key, which must not depend on how a symbol was built.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -26,7 +31,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from jetlie import claims, jets  # noqa: E402
+from jetlie import claims, jets, linsolve  # noqa: E402
 from jetlie import expr as ex  # noqa: E402
 from jetlie import symbols as sy  # noqa: E402
 from jetlie.engine import residual  # noqa: E402
@@ -73,11 +78,19 @@ monomials = st.lists(st.sampled_from(SYMBOLS).flatmap(_power), max_size=6).map(m
 
 
 def _assert_invariant(m):
-    """The `Monomial` invariant: sorted, no repeats, no zero exponents."""
+    """The `Monomial` invariant: no guard bit, at most one nonzero slot of each
+    K_EXP pair; decoded, sorted, no repeats, no zero exponents."""
+    assert type(m) is ex.Monomial
+    assert not m & ex._GUARD
+    for s, e in m.powers:
+        if sy.allows_negative_power(s):
+            off = ex._OFFSET[s]
+            assert not ((m >> off) & ex._M and (m >> (off + ex._W)) & ex._M)
     keys = [s.sort_key() for s, _ in m.powers]
     assert keys == sorted(set(keys))
     for s, e in m.powers:
         assert e > 0 or (e < 0 and sy.allows_negative_power(s))
+        assert abs(e) <= ex.MAX_EXPONENT
 
 
 def _assert_normal(e):
@@ -253,6 +266,187 @@ def test_single_term_product_matches_the_accumulation_loop(a, b):
         assert product == expected
         assert list(product.terms) == list(expected.terms)
         assert product.radicand == expected.radicand
+
+
+# -- packed monomials: order, range, decoding -------------------------------------
+
+
+def mono_cmp(m1, m2):
+    """Graded lexicographic comparison over the global symbol order, on the
+    decoded power tuples: the comparison sorts used before `grlex_key`."""
+    p1, p2 = m1.powers, m2.powers
+    d1, d2 = sum(e for _, e in p1), sum(e for _, e in p2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    i, j = 0, 0
+    while i < len(p1) and j < len(p2):
+        s1, e1 = p1[i]
+        s2, e2 = p2[j]
+        if s1 == s2:
+            if e1 != e2:
+                return 1 if e1 > e2 else -1
+            i += 1
+            j += 1
+        elif s1 < s2:
+            return 1 if e1 > 0 else -1
+        else:
+            return -1 if e2 > 0 else 1
+    if i < len(p1):
+        return 1 if p1[i][1] > 0 else -1
+    if j < len(p2):
+        return -1 if p2[j][1] > 0 else 1
+    return 0
+
+
+@SETTINGS
+@given(st.lists(monomials, max_size=8), st.lists(monomials, max_size=3))
+def test_grlex_key_sorts_as_mono_cmp(ms, extra):
+    expected = sorted(ms, key=functools.cmp_to_key(mono_cmp))
+    assert sorted(ms, key=ex.grlex_key(ms)) == expected
+    # a key over more symbols orders the same monomials the same way
+    assert sorted(ms, key=ex.grlex_key(ms + extra)) == expected
+    if ms:
+        assert max(ms, key=ex.grlex_key(ms)) == expected[-1]
+
+
+def _exponents(m):
+    return dict(m.powers)
+
+
+def _big_power(s):
+    """Exponents at the edge of the slot range, and small ones."""
+    top = ex.MAX_EXPONENT
+    near = st.one_of(st.integers(1, 3), st.integers(top - 3, top), st.integers(top // 2 - 1, top // 2 + 1))
+    if sy.allows_negative_power(s):
+        return st.tuples(st.just(s), st.tuples(near, st.sampled_from([1, -1])).map(lambda t: t[0] * t[1]))
+    return st.tuples(st.just(s), near)
+
+
+big_monomials = st.lists(st.sampled_from(SYMBOLS).flatmap(_big_power), max_size=4, unique_by=lambda p: p[0]).map(
+    monomial
+)
+
+
+def _expected(m1, m2, sign):
+    """The exponents of m1 * m2^sign, or the ExprError they call for."""
+    acc = _exponents(m1)
+    for s, e in m2.powers:
+        acc[s] = acc.get(s, 0) + sign * e
+    acc = {s: e for s, e in acc.items() if e}
+    if any(e < 0 and not sy.allows_negative_power(s) for s, e in acc.items()):
+        return "negative"
+    if any(abs(e) > ex.MAX_EXPONENT for e in acc.values()):
+        return "range"
+    return acc
+
+
+@SETTINGS
+@given(big_monomials, big_monomials)
+def test_products_and_quotients_never_wrap(m1, m2):
+    for op, sign in ((mono_mul, 1), (mono_div, -1)):
+        expected = _expected(m1, m2, sign)
+        if isinstance(expected, str):
+            with pytest.raises(ExprError, match="negative exponent" if expected == "negative" else "out of range"):
+                op(m1, m2)
+        else:
+            result = op(m1, m2)
+            _assert_invariant(result)
+            assert _exponents(result) == expected
+
+
+def test_the_guard_catches_the_first_exponent_past_the_range():
+    top = ex.MAX_EXPONENT
+    x, e = sy.X, sy.exp_eps()
+    with pytest.raises(ExprError, match="exponent of x out of range"):
+        mono_mul(monomial([(x, top)]), monomial([(x, 1)]))
+    with pytest.raises(ExprError, match="exponent of exp\\(eps\\) out of range"):
+        mono_mul(monomial([(e, -top)]), monomial([(e, -1)]))
+    with pytest.raises(ExprError, match="exponent of exp\\(eps\\) out of range"):
+        mono_div(monomial([(e, top)]), monomial([(e, -1)]))
+    with pytest.raises(ExprError, match="out of range"):
+        monomial([(x, top + 1)])
+    with pytest.raises(ExprError, match="out of range"):
+        ex.symbol(x) ** (top + 1)
+    assert mono_mul(monomial([(e, top)]), monomial([(e, -1)])) == monomial([(e, top - 1)])
+    with pytest.raises(ExprError, match="out of range"):
+        (ex.symbol(e) ** -top).diff_atom(e)
+
+
+def test_diff_atom_of_exp_powers():
+    e = ex.symbol(sy.exp_eps())
+    x = ex.symbol(sy.X)
+    assert (x * e ** -2).diff_atom(sy.exp_eps()) == ex.constant(-2) * x * e ** -3
+    assert (x * e ** 3).diff_atom(sy.exp_eps()) == ex.constant(3) * x * e ** 2
+    assert (x * e).diff_atom(sy.exp_eps()) == x
+
+
+def _expr_of(pieces):
+    total = ex.ZERO
+    for c, m in pieces:
+        total = total + ex.constant(c) * ex.Expr({(m, 0): 1}, None)
+    return total
+
+
+kind_exprs = st.lists(st.tuples(coefficients.filter(bool), monomials), max_size=4).map(_expr_of)
+
+
+@EXPR_SETTINGS
+@given(kind_exprs, kind_exprs)
+def test_free_symbols_is_the_union_of_decoded_symbols(a, b):
+    for e in (a, a * b, a * ROOT, a + b * ROOT ** 3):
+        expected = {s for m, _k in e.terms for s, _e in m.powers}
+        if e.has_radical():
+            expected |= {s for m, _k in e.radicand.terms for s, _e in m.powers}
+        assert e.free_symbols() == expected
+
+
+class _Rows(Exception):
+    """Carries the rows `linear_solve` hands to `nullspace`."""
+
+
+def _captured_rows(columns):
+    def capture(rows, ncols):
+        raise _Rows(rows)
+
+    original = linsolve.nullspace
+    linsolve.nullspace = capture
+    try:
+        linsolve.linear_solve(columns)
+    except _Rows as rows:
+        return rows.args[0]
+    finally:
+        linsolve.nullspace = original
+    raise AssertionError("linear_solve did not reach nullspace")
+
+
+def _tuple_split(columns):
+    """The rows of `linear_solve` split on decoded power tuples, as before packing."""
+    kernel = ex.common_kernel(*columns)
+    k_min = min((k for col in columns for _m, k in col.terms if k), default=0)
+    poly_rows, radical_rows = {}, {}
+    for j, col in enumerate(columns):
+        for k, part in col.strata().items():
+            rows = poly_rows
+            if k:
+                rows = radical_rows
+                for _ in range((k - k_min) // 2):
+                    part = part * kernel
+            for (m, _k), c in part.terms.items():
+                coord = tuple(p for p in m.powers if p[0].kind != sy.K_PARAM)
+                par = tuple(p for p in m.powers if p[0].kind == sy.K_PARAM)
+                rows.setdefault(coord, {}).setdefault(j, {})[(monomial(par), 0)] = c
+    return [*poly_rows.values(), *radical_rows.values()]
+
+
+def _items(rows):
+    return [[(j, list(entry.items())) for j, entry in row.items()] for row in rows]
+
+
+@EXPR_SETTINGS
+@given(st.lists(st.tuples(kind_exprs, kind_exprs, st.sampled_from([0, 1, 3])), min_size=1, max_size=4))
+def test_the_parameter_mask_split_matches_the_tuple_split(parts):
+    columns = [p + q * ROOT ** k if k else p + q for p, q, k in parts]
+    assert _items(_captured_rows(columns)) == _items(_tuple_split(columns))
 
 
 # -- the kernel pull that sums and monomial products skip ----------------------------
