@@ -72,7 +72,6 @@ _M = (1 << _W) - 1
 
 _OFFSET: Dict[Sym, int] = {}  # symbol -> bit offset of its slot (K_EXP: the positive one)
 _SLOT_SYM: List[Tuple[Sym, int]] = []  # slot index -> (symbol, sign of the exponents it holds)
-_EXP_OFFSETS: List[int] = []  # positive-slot offsets of the K_EXP symbols
 _GUARD = 0  # the guard bit of every slot
 _EXP_POS = 0  # every bit of the positive K_EXP slots
 _EXP = 0  # every bit of both K_EXP slots
@@ -93,7 +92,6 @@ def _offset(s: Sym) -> int:
         full = ((1 << (_W * len(signs))) - 1) << off
         KIND_MASKS[s.kind] |= full
         if s.kind == K_EXP:
-            _EXP_OFFSETS.append(off)
             _EXP_POS |= _M << off
             _EXP |= full
         _CHECK = _GUARD | _EXP
@@ -125,14 +123,9 @@ def _named(v: int) -> List[Sym]:
 
 
 class Monomial(int):
-    """A product of symbol powers, packed into one int.
-
-    Each symbol owns a `_W`-bit slot at `_offset(s)` and stores its exponent
-    there; a `K_EXP` symbol owns two adjacent slots, the positive and the
-    negative part of its exponent, at most one of them nonzero.  Exponents
-    lie in [0, MAX_EXPONENT], so every guard bit is clear.  `powers` decodes
-    the int into the sorted ((symbol, exponent), ...) view.
-    """
+    """A product of symbol powers packed into one int, as the module docstring
+    describes: a K_EXP symbol holds at most one nonzero slot of its two, and
+    no guard bit is set.  `powers` is the sorted ((symbol, exponent), ...) view."""
 
     __slots__ = ()
 
@@ -170,12 +163,8 @@ class Monomial(int):
 MONE = Monomial(0)
 
 
-def _out_of_range(v: int) -> ExprError:
-    """The error for a product or quotient whose guard bits `v` came up."""
-    return ExprError(
-        f"exponent of {_named(v)[0].pretty()} out of range: "
-        f"|n| must be at most {MAX_EXPONENT}"
-    )
+def _out_of_range(s: Sym) -> ExprError:
+    return ExprError(f"exponent of {s.pretty()} out of range: |n| must be at most {MAX_EXPONENT}")
 
 
 def monomial(pairs: Iterable[Tuple[Sym, int]]) -> Monomial:
@@ -192,9 +181,7 @@ def monomial(pairs: Iterable[Tuple[Sym, int]]) -> Monomial:
     v = 0
     for s, e in acc.items():
         if abs(e) > MAX_EXPONENT:
-            raise ExprError(
-                f"exponent of {s.pretty()} out of range: |n| must be at most {MAX_EXPONENT}"
-            )
+            raise _out_of_range(s)
         off = _offset(s)
         v |= e << off if e > 0 else -e << (off + _W)
     return Monomial(v)
@@ -202,10 +189,9 @@ def monomial(pairs: Iterable[Tuple[Sym, int]]) -> Monomial:
 
 def _exp_normal(v: int) -> int:
     """v with the two slots of each K_EXP symbol cancelled down to one."""
-    for off in _EXP_OFFSETS:
-        p = (v >> off) & _M
+    for off, p in _slots(v & _EXP_POS):
         n = (v >> (off + _W)) & _M
-        if p and n:
+        if n:
             c = min(p, n)
             v -= (c << off) | (c << (off + _W))
     return v
@@ -219,7 +205,7 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     r = m1 + m2
     if r & _CHECK:
         if r & _GUARD:
-            raise _out_of_range(r & _GUARD)
+            raise _out_of_range(_named(r & _GUARD)[0])
         r = _exp_normal(r)
     return Monomial(r)
 
