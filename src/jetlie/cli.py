@@ -2,16 +2,24 @@
 
 Every command emits a report with the same shape: the command name, an echo
 of the configuration, the mathematical result, and a list of
-derived-vs-claimed comparisons wherever a reference claim is touched.  Text
-output is layout-stable for golden tests; `--format json` prints the same
-report as sorted JSON.
+derived-vs-claimed rows wherever a reference claim is touched.  Text output
+is layout-stable for golden tests; `--format json` prints the same report as
+sorted JSON.
+
+A command derives its result and passes each derived value, under the topic
+of the claims it meets, to `_claim_rows`; every row comes from a `Claim` in
+`claims.catalogue()`, which judges the value against the claimed fixture.
+No row and no verdict is written here.
 
 Exit codes for `verify`: 0 residual is exactly zero, 1 nonzero, 2 input
 error.  Other commands exit 0 on success and 2 on any input or domain
-error.
+error.  An error is one `error: <message>` line on stderr, or under
+`--format json` the report {"command": <command>, "error": {"type":
+<exception class>, "message": <message>}} on stdout.  Usage errors are
+argparse's own and always text.
 
-The argument parser and the verify claim fixtures are built once per process,
-on first use, and shared by every later call: they must never be mutated.
+The argument parser and the claim table are built once per process, on
+first use, and shared by every later call: they must never be mutated.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from .groups import (
 )
 from .jets import JetOrderError, Manifold, expand_equation
 from .parser import ParseError, parse
-from .printer import PrintError, grammar, pretty
+from .printer import PrintError, grammar, join_signed, pretty
 
 
 class CliError(ValueError):
@@ -97,13 +105,8 @@ class RunConfig(NamedTuple):
         return ["third", "cubed"] if self.interp == "both" else [self.interp]
 
     def echo(self) -> Dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "max_order": self.max_order,
-            "interp": self.interp,
-            "seed": self.seed,
-        }
+        """The settings a report echoes, in the order its text form prints them."""
+        return {k: getattr(self, k) for k in ("alpha", "beta", "max_order", "interp", "seed")}
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -142,6 +145,20 @@ def _expr_strings(e: Expr) -> Dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
+def _report(command: str, config: RunConfig, result: Dict, claim_rows=()) -> Dict:
+    return {
+        "command": command,
+        "config": config.echo(),
+        "result": result,
+        "claims": list(claim_rows),
+    }
+
+
+def _claim_rows(derived: Dict[str, object]) -> List[Dict]:
+    """A row for every claim whose topic `derived` holds a value for, in table order."""
+    return [claim.row(derived[claim.topic]) for claim in claims.about(*derived)]
+
+
 def cmd_verify(args, config: RunConfig) -> Tuple[int, Dict]:
     man = config.manifold()
     parsed = _substitute_params(parse(args.expression), config)
@@ -170,23 +187,11 @@ def cmd_verify(args, config: RunConfig) -> Tuple[int, Dict]:
         # substituting nonzero values for them only removes symbols, so a
         # fixture that lacks a jet symbol of q cannot become q
         jets = {s for s in q.free_symbols() if s.kind == sy.K_JET}
-        for name, fixture in claims.verify_catalogue(reading):
+        for claim in claims.about("verify", f"verify [{reading}]"):
+            fixture = claim.fixture()
             if jets <= fixture.free_symbols() and _substitute_params(fixture, config) == q:
-                claim_rows.append(
-                    {
-                        "name": name,
-                        "claimed": "residual = 0",
-                        "derived": "residual = 0" if rep.is_zero else "residual != 0",
-                        "agrees": rep.is_zero,
-                    }
-                )
-    report = {
-        "command": "verify",
-        "config": config.echo(),
-        "result": {"verdicts": verdicts},
-        "claims": claim_rows,
-    }
-    return (0 if all_zero else 1), report
+                claim_rows.append(claim.row(rep.value))
+    return (0 if all_zero else 1), _report("verify", config, {"verdicts": verdicts}, claim_rows)
 
 
 def _solution_block(result) -> Dict:
@@ -216,27 +221,13 @@ def cmd_solve(args, config: RunConfig) -> Tuple[int, Dict]:
     man = config.manifold()
     spec = args.basis
     claim_rows: List[Dict] = []
-    result_block: Dict = {}
 
     if spec == "point-affine":
         algebra = derive_point_algebra(man)
         result_block = _solution_block(algebra.result)
         result_block["derived_scaling_weight"] = str(algebra.weight)
-        claim_rows.append(
-            {
-                "name": "point algebra dimension",
-                "claimed": str(claims.CLAIMED_POINT_DIMENSION),
-                "derived": str(algebra.dimension),
-                "agrees": algebra.dimension == claims.CLAIMED_POINT_DIMENSION,
-            }
-        )
-        claim_rows.append(
-            {
-                "name": "scaling weight in x*u_x - t*u_t - c*u",
-                "claimed": str(claims.CLAIMED_SCALING_WEIGHT),
-                "derived": str(algebra.weight),
-                "agrees": algebra.weight == claims.CLAIMED_SCALING_WEIGHT,
-            }
+        claim_rows = _claim_rows(
+            {"point dimension": algebra.dimension, "scaling weight": algebra.weight}
         )
     elif spec in ("order-2", "order-4"):
         order = 2 if spec == "order-2" else 4
@@ -254,14 +245,7 @@ def cmd_solve(args, config: RunConfig) -> Tuple[int, Dict]:
                 "label": report.label,
             }
         )
-        claim_rows.append(
-            {
-                "name": f"no nontrivial order-{order} characteristics (ansatz-bounded)",
-                "claimed": "0 new dimensions",
-                "derived": f"{report.new_dimension} new dimensions",
-                "agrees": report.new_dimension == 0,
-            }
-        )
+        claim_rows = _claim_rows({spec: report.new_dimension})
     elif spec in ("order-3", "order-3-derived"):
         blocks = []
         for reading in config.readings():
@@ -273,29 +257,13 @@ def cmd_solve(args, config: RunConfig) -> Tuple[int, Dict]:
             block["reading"] = reading
             block["new_dimension_at_order_3"] = new_dim
             blocks.append(block)
-            if spec == "order-3":
-                family = claims.claimed_third_order_family(reading)
-                for cname, member in sorted(family.items()):
-                    member = _substitute_params(member, config)
-                    rep = residual(man, member)
-                    claim_rows.append(
-                        {
-                            "name": f"claimed family member {cname} [{reading}]",
-                            "claimed": "residual = 0",
-                            "derived": "residual = 0" if rep.is_zero else "residual != 0",
-                            "agrees": rep.is_zero,
-                        }
-                    )
-            else:
-                claim_rows.append(
-                    {
-                        "name": f"third-order symmetry over kernel "
-                        f"2*beta*u_x^2 + alpha [{reading}]",
-                        "claimed": "none stated",
-                        "derived": f"{new_dim} new dimension(s)",
-                        "agrees": "n/a",
-                    }
-                )
+            topic = f"{spec} [{reading}]"
+            if spec == "order-3-derived":
+                claim_rows += _claim_rows({topic: new_dim})
+                continue
+            for claim in claims.about(topic):
+                member = _substitute_params(claim.fixture(), config)
+                claim_rows.append(claim.row(residual(man, member).value))
         result_block = {"scans": blocks}
     else:
         if config.interp == "both":
@@ -310,33 +278,15 @@ def cmd_solve(args, config: RunConfig) -> Tuple[int, Dict]:
         result = ansatz_solve(man, basis)
         result_block = _solution_block(result)
 
-    report = {
-        "command": "solve",
-        "config": config.echo(),
-        "result": {"basis": spec, **result_block},
-        "claims": claim_rows,
-    }
-    return 0, report
+    return 0, _report("solve", config, {"basis": spec, **result_block}, claim_rows)
 
 
 def _coeff_string(vec: Sequence[Fraction]) -> str:
-    names = ("v1", "v2", "v3")
-    parts = []
-    for c, name in zip(vec, names):
-        if c == 0:
-            continue
-        if c == 1:
-            parts.append(f"+ {name}")
-        elif c == -1:
-            parts.append(f"- {name}")
-        elif c > 0:
-            parts.append(f"+ {c}*{name}")
-        else:
-            parts.append(f"- {-c}*{name}")
-    if not parts:
-        return "0"
-    head = parts[0].lstrip("+ ").replace("- ", "-", 1) if parts[0].startswith("- ") else parts[0][2:]
-    return " ".join([head] + parts[1:])
+    return join_signed(
+        (c < 0, name if abs(c) == 1 else f"{abs(c)}*{name}")
+        for c, name in zip(vec, ("v1", "v2", "v3"))
+        if c
+    )
 
 
 def _derived_table(man: Manifold):
@@ -346,49 +296,23 @@ def _derived_table(man: Manifold):
 
 
 def cmd_table(args, config: RunConfig) -> Tuple[int, Dict]:
-    man = config.manifold()
-    algebra, table = _derived_table(man)
-    entries = [
-        [_coeff_string(table.constants[i][j]) for j in range(3)] for i in range(3)
-    ]
-    agrees = True
-    for i in range(3):
-        for j in range(3):
-            want = claims.CLAIMED_STRUCTURE.get((i, j))
-            if want is None and i > j:
-                base = claims.CLAIMED_STRUCTURE.get((j, i))
-                want = tuple(-w for w in base) if base else (0, 0, 0)
-            if want is None:
-                want = (Fraction(0),) * 3
-            agrees &= tuple(table.constants[i][j]) == tuple(want)
-    report = {
-        "command": "table",
-        "config": config.echo(),
-        "result": {
-            "basis": [_expr_strings(q) for q in algebra.characteristics],
-            "derived_scaling_weight": str(algebra.weight),
-            "table": entries,
-        },
-        "claims": [
-            {
-                "name": "commutator table ([v1,v3]=v1, [v2,v3]=-v2, rest 0)",
-                "claimed": "as printed",
-                "derived": "identical" if agrees else "different",
-                "agrees": agrees,
-            }
-        ],
+    algebra, table = _derived_table(config.manifold())
+    result = {
+        "basis": [_expr_strings(q) for q in algebra.characteristics],
+        "derived_scaling_weight": str(algebra.weight),
+        "table": [[_coeff_string(c) for c in row] for row in table.constants],
     }
-    return 0, report
+    return 0, _report("table", config, result, _claim_rows({"table": table.constants}))
 
 
 def cmd_adjoint(args, config: RunConfig) -> Tuple[int, Dict]:
-    man = config.manifold()
-    algebra, table = _derived_table(man)
+    _algebra, table = _derived_table(config.manifold())
     c_syms = [symbol(sy.const(f"c{k}")) for k in (1, 2, 3)]
     maps = []
+    images = {}
     for i in range(3):
-        m = adjoint_exp(table, i)
-        image = m.apply_symbolic(c_syms)
+        image = tuple(adjoint_exp(table, i).apply_symbolic(c_syms))
+        images[f"adjoint F{i + 1}"] = image
         maps.append(
             {
                 "generator": f"v{i + 1}",
@@ -396,38 +320,7 @@ def cmd_adjoint(args, config: RunConfig) -> Tuple[int, Dict]:
                 "coefficient_map": [pretty(e) for e in image],
             }
         )
-    derived_strings = {
-        "F1": maps[0]["coefficient_map"],
-        "F2": maps[1]["coefficient_map"],
-        "F3": maps[2]["coefficient_map"],
-    }
-    claim_rows = [
-        {
-            "name": "adjoint map F2: (c1, c2 + eps*c3, c3)",
-            "claimed": "as printed",
-            "derived": "identical",
-            "agrees": True,
-        },
-        {
-            "name": "adjoint map F1: (c1 + eps*c3, c2, c3)",
-            "claimed": "as printed",
-            "derived": "(c1 - eps*c3, c2, c3)",
-            "agrees": "up to eps -> -eps",
-        },
-        {
-            "name": "adjoint map F3: (exp(-eps)c1, exp(eps)c2, c3)",
-            "claimed": "as printed",
-            "derived": "(exp(eps)c1, exp(-eps)c2, c3)",
-            "agrees": "up to eps -> -eps",
-        },
-    ]
-    report = {
-        "command": "adjoint",
-        "config": config.echo(),
-        "result": {"maps": maps},
-        "claims": claim_rows,
-    }
-    return 0, report
+    return 0, _report("adjoint", config, {"maps": maps}, _claim_rows(images))
 
 
 def _parse_entries(parts: Sequence[str], text: str) -> Tuple[Fraction, ...]:
@@ -453,40 +346,24 @@ def cmd_normalize(args, config: RunConfig) -> Tuple[int, Dict]:
         raise CliError("normalize needs three coefficients or --two")
     else:
         vec = _parse_entries(args.coefficients, " ".join(args.coefficients))
-    man = config.manifold()
-    _algebra, table = _derived_table(man)
-    claim_rows: List[Dict] = []
+    _algebra, table = _derived_table(config.manifold())
     if args.two:
         try:
             r = normalize_2d(table, pair[0], pair[1])
         except SubalgebraError as err:
-            report = {
-                "command": "normalize",
-                "config": config.echo(),
-                "result": {
-                    "mode": "2d",
-                    "error": str(err),
-                    "offending_bracket": [str(v) for v in err.bracket],
-                },
-                "claims": [],
+            result = {
+                "mode": "2d",
+                "error": str(err),
+                "offending_bracket": [str(v) for v in err.bracket],
             }
-            return 2, report
+            return 2, _report("normalize", config, result)
         result = {
             "mode": "2d",
             "representative": list(r.representative),
             "final_pair": [[str(v) for v in vec] for vec in r.pair],
             "witness": [_step_string(s) for s in r.steps],
         }
-        claim_rows.append(
-            {
-                "name": "two-dimensional optimal system membership",
-                "claimed": " / ".join(
-                    "{%s, %s}" % pairnames for pairnames in claims.CLAIMED_OPTIMAL_2D
-                ),
-                "derived": "{%s, %s}" % r.representative,
-                "agrees": tuple(r.representative) in claims.CLAIMED_OPTIMAL_2D,
-            }
-        )
+        derived = {"optimal 2d": tuple(r.representative)}
     else:
         r = normalize_1d(table, vec)
         result = {
@@ -498,21 +375,9 @@ def cmd_normalize(args, config: RunConfig) -> Tuple[int, Dict]:
             "witness": [_step_string(s) for s in r.steps],
             "invariants": r.invariants,
         }
-        claim_rows.append(
-            {
-                "name": "one-dimensional optimal system membership",
-                "claimed": " / ".join(claims.CLAIMED_OPTIMAL_1D),
-                "derived": r.family,
-                "agrees": r.family in claims.CLAIMED_OPTIMAL_1D,
-            }
-        )
-    report = {
-        "command": "normalize",
-        "config": config.echo(),
-        "result": result,
-        "claims": claim_rows,
-    }
-    return 0, report
+        # normalize_1d names the family after the case it took, so this row cannot differ
+        derived = {"optimal 1d": r.family}
+    return 0, _report("normalize", config, result, _claim_rows(derived))
 
 
 def _step_string(step) -> str:
@@ -577,21 +442,16 @@ def cmd_reduce(args, config: RunConfig) -> Tuple[int, Dict]:
             raise CliError("derived scaling weight is not a nonnegative integer")
         weight = int(algebra.weight)
     red = reduce_representative(man, coeffs, weight=weight)
-    report = {
-        "command": "reduce",
-        "config": config.echo(),
-        "result": {
-            "representative": args.rep,
-            "family": red.family,
-            "invariant_z": pretty(red.invariant),
-            "similarity": red.similarity,
-            "ode": f"{pretty(red.lhs)} = {pretty(red.rhs)}",
-            "back_substitution_multiple": pretty(red.multiple),
-            "notes": red.notes,
-        },
-        "claims": [],
+    result = {
+        "representative": args.rep,
+        "family": red.family,
+        "invariant_z": pretty(red.invariant),
+        "similarity": red.similarity,
+        "ode": f"{pretty(red.lhs)} = {pretty(red.rhs)}",
+        "back_substitution_multiple": pretty(red.multiple),
+        "notes": red.notes,
     }
-    return 0, report
+    return 0, _report("reduce", config, result)
 
 
 def cmd_flow(args, config: RunConfig) -> Tuple[int, Dict]:
@@ -615,8 +475,6 @@ def cmd_flow(args, config: RunConfig) -> Tuple[int, Dict]:
         )
         label = _coeff_string(vec)
     g = flow(field)
-    claim_rows: List[Dict] = []
-    invariance: Dict = {}
     try:
         inv = equation_invariance(man, g)
         invariance = {
@@ -629,40 +487,18 @@ def cmd_flow(args, config: RunConfig) -> Tuple[int, Dict]:
             "is_symmetry": False,
             "obstruction": pretty(err.residual),
         }
-    if args.gen == "3":
-        exps = diagonal_exponents(g)
-        claim_rows.append(
-            {
-                "name": "scaling flow exponents (x, t, u)",
-                "claimed": str(claims.CLAIMED_FLOW_EXPONENTS),
-                "derived": str(exps),
-                "agrees": exps == claims.CLAIMED_FLOW_EXPONENTS,
-            }
-        )
-    if args.gen in ("1", "2"):
-        claim_rows.append(
-            {
-                "name": f"translation flow G{args.gen}",
-                "claimed": "coordinate shift",
-                "derived": "coordinate shift",
-                "agrees": True,
-            }
-        )
-    report = {
-        "command": "flow",
-        "config": config.echo(),
-        "result": {
-            "generator": label,
-            "maps": {
-                "x": pretty(g.maps[0]),
-                "t": pretty(g.maps[1]),
-                "u": pretty(g.maps[2]),
-            },
-            "invariance": invariance,
+    result = {
+        "generator": label,
+        "maps": {
+            "x": pretty(g.maps[0]),
+            "t": pretty(g.maps[1]),
+            "u": pretty(g.maps[2]),
         },
-        "claims": claim_rows,
+        "invariance": invariance,
     }
-    return 0, report
+    # a combination of generators meets no claim
+    derived = {f"flow {args.gen}": diagonal_exponents(g) if args.gen == "3" else g.maps}
+    return 0, _report("flow", config, result, _claim_rows(derived))
 
 
 # ---------------------------------------------------------------------------
@@ -696,10 +532,7 @@ def _render_value(value, indent: int = 0) -> List[str]:
 def render_text(report: Dict) -> str:
     lines = [f"== jetlie {report['command']} =="]
     cfg = report["config"]
-    lines.append(
-        "config: "
-        + " ".join(f"{k}={cfg[k]}" for k in ("alpha", "beta", "max_order", "interp", "seed"))
-    )
+    lines.append("config: " + " ".join(f"{k}={v}" for k, v in cfg.items()))
     lines.append("result:")
     lines.extend(_render_value(report["result"], 1))
     if report.get("claims"):
@@ -826,8 +659,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         JetOrderError,
         BasisTooLargeError,
     ) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        if config.fmt == "text":
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        code, report = 2, {
+            "command": args.command,
+            "error": {"type": type(err).__name__, "message": str(err)},
+        }
     if config.fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:

@@ -370,10 +370,6 @@ class NonexistenceReport(NamedTuple):
     assumptions: List[str]
     result: AnsatzResult
 
-    @property
-    def confirms_nonexistence(self) -> bool:
-        return self.new_dimension == 0
-
 
 def _term_beyond_known_class(mono, k: int, radicand, order: int) -> bool:
     """Is a single characteristic term outside the already-classified class?

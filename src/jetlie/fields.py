@@ -139,9 +139,6 @@ class StructureTable(NamedTuple):
     def dim(self) -> int:
         return len(self.basis)
 
-    def bracket_coeffs(self, i: int, j: int) -> Tuple[Fraction, ...]:
-        return self.constants[i][j]
-
     def bracket_of_coeffs(self, a, b) -> Tuple[Fraction, ...]:
         """Bracket of two coefficient vectors in the table's basis."""
         n = self.dim

@@ -67,12 +67,16 @@ def _render(e: Expr, mode: str) -> str:
         group = sorted(by_stratum[k], key=lambda key: grlex(key[0]), reverse=True)
         for m, kk in group:
             c = e.terms[(m, kk)]
-            s = _term_str(m, kk, c, rad_str, mode)
-            if not out:
-                out.append(("-" if c < 0 else "") + s)
-            else:
-                out.append(("- " if c < 0 else "+ ") + s)
-    return " ".join(out)
+            out.append((c < 0, _term_str(m, kk, c, rad_str, mode)))
+    return join_signed(out)
+
+
+def join_signed(terms) -> str:
+    """Join (is negative, magnitude text) pairs as "a - b + c"; "0" for none."""
+    text = " ".join(("- " if negative else "+ ") + body for negative, body in terms)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def grammar(e: Expr) -> str:

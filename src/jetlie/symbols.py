@@ -49,12 +49,6 @@ class Sym(NamedTuple):
         i, j = self.jet_orders
         return i + j
 
-    def is_mixed_jet(self) -> bool:
-        if self.kind != K_JET:
-            return False
-        i, j = self.data
-        return i >= 1 and j >= 1
-
     # -- printing ------------------------------------------------------------
 
     def pretty(self) -> str:

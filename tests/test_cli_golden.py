@@ -1,8 +1,9 @@
 """Golden tests for every `jetlie` command: byte-exact text and JSON reports.
 
 Each case runs at symbolic parameters and at alpha=1, beta=1/2 (the
-Sakovich-Sakovich short pulse equation), in both output formats.  The
-expected outputs live in tests/golden/; rewrite them after an intended
+Sakovich-Sakovich short pulse equation), in both output formats.  Each
+input error runs in both formats too: in JSON mode its report is a golden.
+The expected outputs live in tests/golden/; rewrite them after an intended
 change of the reports with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -83,36 +84,61 @@ INPUT_ERRORS = [
     ),
 ]
 
-FLOW_INPUT_ERRORS = [
-    (["flow", "--gen", "4"], "error: generator index must be 1, 2 or 3, not '4'\n"),
-    (["flow", "--gen", "0"], "error: generator index must be 1, 2 or 3, not '0'\n"),
-    (["flow", "--gen=0,0,0"], "error: the zero combination generates no flow\n"),
-]
+FLOW_INPUT_ERRORS = {
+    "index-4": (["flow", "--gen", "4"], "error: generator index must be 1, 2 or 3, not '4'\n"),
+    "index-0": (["flow", "--gen", "0"], "error: generator index must be 1, 2 or 3, not '0'\n"),
+    "zero-vector": (["flow", "--gen=0,0,0"], "error: the zero combination generates no flow\n"),
+}
 
-COMMAND_INPUT_ERRORS = [
-    (["normalize", "1", "2", "x"], "error: bad coefficient vector '1 2 x'\n"),
-    (["normalize", "--", "1", "2", "1/0"], "error: bad coefficient vector '1 2 1/0'\n"),
-    (
+COMMAND_INPUT_ERRORS = {
+    "normalize-symbol": (["normalize", "1", "2", "x"], "error: bad coefficient vector '1 2 x'\n"),
+    "normalize-zero-denominator": (
+        ["normalize", "--", "1", "2", "1/0"],
+        "error: bad coefficient vector '1 2 1/0'\n",
+    ),
+    "reduce-rep": (
         ["reduce", "--rep=garbage"],
         "error: unsupported representative 'garbage'; expected v1+a*v2, b*v1+v2 or v3\n",
     ),
-    (["verify", "--", "u["], "error: expected a nonnegative integer (line 1, column 3)\n"),
-    (
+    "verify-parse": (
+        ["verify", "--", "u["],
+        "error: expected a nonnegative integer (line 1, column 3)\n",
+    ),
+    "normalize-both": (
         ["normalize", "1", "2", "3", "--two", "1,0,0", "0,1,0"],
         "error: normalize takes three coefficients or --two, not both\n",
     ),
-    (["normalize", "1", "2"], "error: normalize needs three coefficients or --two\n"),
+    "normalize-two-coefficients": (
+        ["normalize", "1", "2"],
+        "error: normalize needs three coefficients or --two\n",
+    ),
     # an exponent beyond the range of a monomial slot, written or reached by a product
-    (
+    "verify-exponent-range": (
         ["verify", "--", "u^3000000000"],
         "error: exponent 3000000000 is out of range: |n| must be at most 2147483647 "
         "(line 1, column 3)\n",
     ),
-    (
+    "verify-exponent-overflow": (
         ["verify", "--", "u^2000000000*u^2000000000"],
         "error: exponent of u out of range: |n| must be at most 2147483647\n",
     ),
-]
+}
+
+
+def _error_runs(cases):
+    """(id, argv, stdout golden, stderr) for each input error in text mode, where
+    it is one line on stderr, and then in JSON mode, where it is a report on
+    stdout."""
+    text = [(case, argv, None, stderr) for case, (argv, stderr) in cases.items()]
+    json_mode = [
+        (f"{case}-json", ["--format", "json", *argv], f"error-{case}.json", "")
+        for case, (argv, _stderr) in cases.items()
+    ]
+    return text + json_mode
+
+
+FLOW_ERROR_RUNS = _error_runs(FLOW_INPUT_ERRORS)
+COMMAND_ERROR_RUNS = _error_runs(COMMAND_INPUT_ERRORS)
 
 # an option value that starts with '-' reads as in the `=` form
 SIGNED_VALUES = [
@@ -176,29 +202,27 @@ def test_solve_input_error(argv, stderr, capsys):
     assert (code, out, err) == (2, "", stderr)
 
 
-@pytest.mark.parametrize("argv,stderr", FLOW_INPUT_ERRORS, ids=["index-4", "index-0", "zero-vector"])
-def test_flow_input_error(argv, stderr, capsys):
+def _check_input_error(argv, golden, stderr, capsys):
     code, out, err = _run(argv, capsys)
-    assert (code, out, err) == (2, "", stderr)
+    assert (code, out, err) == (2, (GOLDEN / golden).read_text() if golden else "", stderr)
 
 
 @pytest.mark.parametrize(
-    "argv,stderr",
-    COMMAND_INPUT_ERRORS,
-    ids=[
-        "normalize-symbol",
-        "normalize-zero-denominator",
-        "reduce-rep",
-        "verify-parse",
-        "normalize-both",
-        "normalize-two-coefficients",
-        "verify-exponent-range",
-        "verify-exponent-overflow",
-    ],
+    "argv,golden,stderr",
+    [run[1:] for run in FLOW_ERROR_RUNS],
+    ids=[run[0] for run in FLOW_ERROR_RUNS],
 )
-def test_command_input_error(argv, stderr, capsys):
-    code, out, err = _run(argv, capsys)
-    assert (code, out, err) == (2, "", stderr)
+def test_flow_input_error(argv, golden, stderr, capsys):
+    _check_input_error(argv, golden, stderr, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv,golden,stderr",
+    [run[1:] for run in COMMAND_ERROR_RUNS],
+    ids=[run[0] for run in COMMAND_ERROR_RUNS],
+)
+def test_command_input_error(argv, golden, stderr, capsys):
+    _check_input_error(argv, golden, stderr, capsys)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +330,12 @@ if __name__ == "__main__":
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv, exit_code in GOLDEN_RUNS + COMMAND_RUNS:
+    error_runs = [
+        (golden, argv, 2)
+        for _id, argv, golden, _stderr in FLOW_ERROR_RUNS + COMMAND_ERROR_RUNS
+        if golden
+    ]
+    for name, argv, exit_code in GOLDEN_RUNS + COMMAND_RUNS + error_runs:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert main(argv) == exit_code, argv
