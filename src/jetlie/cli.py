@@ -16,7 +16,9 @@ error.  Other commands exit 0 on success and 2 on any input or domain
 error.  An error is one `error: <message>` line on stderr, or under
 `--format json` the report {"command": <command>, "error": {"type":
 <exception class>, "message": <message>}} on stdout.  Usage errors are
-argparse's own and always text.
+argparse's own and always text.  Any command exits 141 (128 + SIGPIPE)
+when stdout closes before the report is written, so that a broken pipe
+never reads as a verdict.
 
 The argument parser and the claim table are built once per process, on
 first use, and shared by every later call: they must never be mutated.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -667,9 +670,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "error": {"type": type(err).__name__, "message": str(err)},
         }
     if config.fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, default=str))
+        out = json.dumps(report, indent=2, sort_keys=True, default=str)
     else:
-        print(render_text(report))
+        out = render_text(report)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at the null device, as the `signal`
+        # module's SIGPIPE note advises, so that the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return code
 
 

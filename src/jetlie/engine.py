@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .expr import (
-    Expr, ZERO, as_expr, constant, grlex_key, monomial, sqrt, sum_of_products, symbol,
+    Expr, ExprError, ZERO, as_expr, constant, grlex_key, monomial, sqrt, sum_of_products, symbol,
 )
 from .jets import Manifold
 from .linsolve import linear_solve
@@ -334,7 +334,7 @@ def _canonicalize_rational_solutions(result: AnsatzResult) -> AnsatzResult:
         for k, e in entries.items():
             try:
                 row[k] = e.as_fraction()
-            except Exception:
+            except ExprError:
                 return result
         rows.append(row)
     if not rows:

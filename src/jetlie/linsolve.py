@@ -8,13 +8,17 @@ stratum), with the parameter monomials as entries.  Rows are raw
 
 The homogeneous solver `nullspace` works over the fraction field of
 polynomials in the equation parameters without ever forming fractions
-(Bareiss, Math. Comp. 22, 1968).  `_normalize` divides each row, and each
-basis vector, by its content in one integer pass; only rows that survive
-dedup become `Expr`s.  The core is eliminated by the fraction-free
-Gauss-Jordan rule (cross-multiply, divide by the previous pivot; divisions
-are exact by Sylvester's identity), so entries stay polynomial.  Pivots
-that are not rational constants are reported as nonvanishing assumptions
-instead of case-splitting.
+(Bareiss, Math. Comp. 22, 1968).  Single-entry propagation, which forces
+almost every column of a scan system to zero, runs on the raw rows.
+`_normalize` divides a row by its content in one integer pass only where
+duplicate rows could change the result: a row about to force a column that
+an earlier row with the same columns may repeat, and the rows left for the
+dense core, which alone become `Expr`s.  Each basis vector is normalized
+the same way.  The core is eliminated by the fraction-free Gauss-Jordan
+rule (cross-multiply, divide by the previous pivot; divisions are exact by
+Sylvester's identity), so entries stay polynomial.  Pivots that are not
+rational constants are reported as nonvanishing assumptions instead of
+case-splitting.
 
 A small dense `Fraction` toolkit (rref / solve / nullspace) backs
 structure-constant decompositions and canonical presentation of solution
@@ -108,48 +112,100 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
 
     Each row is a nonempty raw `Row`: every entry a nonempty dict of nonzero
     coefficients, as `linear_solve` builds them.
+
+    Rows equal after `_normalize`, that is up to a rational times a parameter
+    monomial, say the same thing: the result, the order of the assumptions
+    included, is that of the rows with every repeat of an earlier row
+    removed.  Only the rows where a repeat can matter are normalized:
+    - A parameter that divides every entry of a row is assumed nonzero.  That
+      needs the row's shared monomial only, and no row adds such a note once
+      every parameter has one.
+    - Single-entry propagation sweeps the raw rows in order.  Equal rows have
+      the same columns.  So when a repeat is left with one live column, the
+      first row it repeats is still in the sweeps and had two or more live
+      columns when it was visited: had it been left with one, it would have
+      forced that column, and the repeat would now be empty.  A repeat can
+      thus only matter at the moment it would force a column, and it is
+      dropped there, which leaves the forced set and the order of the notes
+      as without repeats.  A raw and a normalized coefficient give the same
+      note, since `_assumption` takes the primitive part.
+    - The rows left for the dense core are normalized as whole rows, and
+      repeats are dropped; only then do the rows lose their forced columns
+      and become `Expr`s.
     """
     assumptions: List[str] = []
     forced_zero: set = set()
 
-    work: List[Dict[int, Expr]] = []
-    seen = set()
-    for row in rows:
-        cols = sorted(row)
-        content, scaled = _normalize([row[j] for j in cols])
-        for s in content.symbols():
-            note = f"{s.pretty()} != 0"
-            if note not in assumptions:
-                assumptions.append(note)
-        key = tuple((j, frozenset(entry.items())) for j, entry in zip(cols, scaled))
-        if key not in seen:
-            seen.add(key)
-            work.append({j: Expr(entry, None) for j, entry in zip(cols, scaled)})
+    # parameters without a content note; every one a row holds has a slot
+    unnoted = len(Monomial(KIND_MASKS[sy.K_PARAM]).symbols())
+    cols_of: List[Tuple[int, ...]] = []
+    same_cols: Dict[Tuple[int, ...], List[int]] = {}
+    for i, row in enumerate(rows):
+        cols = tuple(sorted(row))
+        cols_of.append(cols)
+        same_cols.setdefault(cols, []).append(i)
+        if unnoted:
+            shared = None
+            for entry in row.values():
+                for m, _k in entry:
+                    shared = m if shared is None else mono_gcd(shared, m)
+                if not shared:
+                    break
+            for s in shared.symbols() if shared else ():
+                note = f"{s.pretty()} != 0"
+                if note not in assumptions:
+                    assumptions.append(note)
+                    unnoted -= 1
+
+    normal: Dict[int, Tuple[List[Dict[TermKey, int]], tuple]] = {}
+
+    def normal_row(i: int) -> Tuple[List[Dict[TermKey, int]], tuple]:
+        """Row i over its content, in column order, and its dedup key."""
+        if i not in normal:
+            _content, scaled = _normalize([rows[i][j] for j in cols_of[i]])
+            key = tuple((j, frozenset(entry.items())) for j, entry in zip(cols_of[i], scaled))
+            normal[i] = scaled, key
+        return normal[i]
+
+    def repeats(i: int) -> bool:
+        """Whether an earlier row normalizes to row i."""
+        group = same_cols[cols_of[i]]
+        return any(normal_row(h)[1] == normal_row(i)[1] for h in group[: group.index(i)])
 
     # propagate single-entry rows: coeff * c_j = 0 forces c_j = 0
+    work: List[Tuple[int, Sequence[int]]] = list(enumerate(cols_of))
     changed = True
     while changed:
         changed = False
         next_work = []
-        for row in work:
-            if not forced_zero.isdisjoint(row):
-                row = {j: e for j, e in row.items() if j not in forced_zero}
-            if not row:
-                continue
-            if len(row) == 1:
-                ((j, coeff),) = row.items()
-                note = _assumption(coeff)
+        for i, live in work:
+            if not forced_zero.isdisjoint(live):
+                live = [j for j in live if j not in forced_zero]
+                if not live:
+                    continue
+            if len(live) == 1:
+                if repeats(i):
+                    continue
+                (j,) = live
+                note = _assumption(Expr(rows[i][j], None))
                 if note and note not in assumptions:
                     assumptions.append(note)
                 forced_zero.add(j)
                 changed = True
             else:
-                next_work.append(row)
+                next_work.append((i, live))
         work = next_work
 
+    # the rows left with two or more live columns, repeats dropped
+    core: List[Dict[int, Expr]] = [
+        {j: Expr(entry, None) for j, entry in zip(cols_of[i], normal_row(i)[0]) if j not in forced_zero}
+        for i, _live in work
+        if not repeats(i)
+    ]
+
     # dense fraction-free Gauss-Jordan on the remaining core
-    cols = sorted({j for row in work for j in row})
-    mat: List[List[Expr]] = [[row.get(j, ZERO) for j in cols] for row in work]
+    cols = sorted({j for row in core for j in row})
+    mat: List[List[Expr]] = [[row.get(j, ZERO) for j in cols] for row in core]
     pivots: List[Tuple[int, int]] = []
     used_rows: set = set()
     prev_pivot: Optional[Expr] = None

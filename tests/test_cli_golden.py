@@ -10,6 +10,7 @@ change of the reports with
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +324,23 @@ def test_reports_do_not_depend_on_the_slot_order():
     out = json.loads(done.stdout)
     for name, _argv, exit_code in runs:
         assert out[name] == [exit_code, (GOLDEN / name).read_text()], name
+
+
+_MAIN = "import sys\nsys.path.insert(0, sys.argv[1])\nfrom jetlie.cli import main\nsys.exit(main(sys.argv[2:]))\n"
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", _MAIN, str(SRC), "--format", "json", "flow", "--gen", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == 141
 
 
 if __name__ == "__main__":
