@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
-from .expr import Expr, ONE, ZERO, constant, symbol
+from .expr import Expr, ONE, ZERO, symbol
 from .fields import StructureTable
 
 Vec = Tuple[Fraction, ...]
@@ -282,23 +282,6 @@ class AdjointMap(NamedTuple):
             sum((self.matrix[i][j] * coeffs[j] for j in range(n)), ZERO)
             for i in range(n)
         ]
-
-    def at(self, value: Fraction) -> List[List[Fraction]]:
-        """Numeric matrix at a rational parameter; nilpotent generators only."""
-        subs = {sy.eps(self.eps_name): constant(value)}
-        out = []
-        for row in self.matrix:
-            out_row = []
-            for e in row:
-                sub = e.substitute(subs)
-                if any(s.kind == sy.K_EXP for s in sub.free_symbols()):
-                    raise AlgebraError(
-                        "adjoint map has exponential entries; rational "
-                        "application is not exact"
-                    )
-                out_row.append(sub.as_fraction())
-            out.append(out_row)
-        return out
 
 
 def adjoint_exp(table: StructureTable, i: int, eps_name: str = "eps") -> AdjointMap:

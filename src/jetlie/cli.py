@@ -46,11 +46,10 @@ from .algebra import (
     normalize_2d,
 )
 from .engine import (
+    BOUNDED_SCANS,
     BUILTIN_BASES,
-    BasisTooLargeError,
     EngineError,
     ansatz_solve,
-    bounded_nonexistence,
     builtin_basis,
     derive_point_algebra,
     new_dimension_count,
@@ -83,8 +82,6 @@ class RunConfig(NamedTuple):
     interp: str = "third"
     fmt: str = "text"
     seed: int = 0
-    basis_limit: int = 600
-    points: int = 100
 
     def _param(self, text: str, name: str) -> Optional[Fraction]:
         if text == "sym":
@@ -171,7 +168,7 @@ def cmd_verify(args, config: RunConfig) -> Tuple[int, Dict]:
     for reading in config.readings():
         q = apply_interp(parsed, reading)
         rep = residual(man, q)
-        chk = spot_check(rep.value, rep.is_zero, config.points, config.rng())
+        chk = spot_check(rep.value, rep.is_zero, 100, config.rng())
         if not chk.agrees:
             raise CliError("numeric spot-check disagrees with the symbolic verdict")
         all_zero &= rep.is_zero
@@ -232,23 +229,22 @@ def cmd_solve(args, config: RunConfig) -> Tuple[int, Dict]:
         claim_rows = _claim_rows(
             {"point dimension": algebra.dimension, "scaling weight": algebra.weight}
         )
-    elif spec in ("order-2", "order-4"):
-        order = 2 if spec == "order-2" else 4
-        degree = 3 if order == 2 else 2
-        report = bounded_nonexistence(
-            man, order, degree, basis_limit=config.basis_limit
-        )
-        result_block = _solution_block(report.result)
+    elif spec in BOUNDED_SCANS:
+        order, degree = BOUNDED_SCANS[spec]
+        basis = builtin_basis(spec)
+        result = ansatz_solve(man, basis)
+        new_dim = new_dimension_count(result.characteristics, order)
+        result_block = _solution_block(result)
         result_block.update(
             {
                 "order": order,
                 "degree": degree,
-                "basis_size": report.basis_size,
-                "new_dimension": report.new_dimension,
-                "label": report.label,
+                "basis_size": len(basis),
+                "new_dimension": new_dim,
+                "label": "ansatz-bounded",
             }
         )
-        claim_rows = _claim_rows({spec: report.new_dimension})
+        claim_rows = _claim_rows({spec: new_dim})
     elif spec in ("order-3", "order-3-derived"):
         blocks = []
         for reading in config.readings():
@@ -574,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--basis-limit", type=int, default=600, dest="basis_limit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check a characteristic for the symmetry condition")
@@ -648,7 +643,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         interp=args.interp,
         fmt=args.fmt,
         seed=args.seed,
-        basis_limit=args.basis_limit,
     )
     try:
         code, report = _COMMANDS[args.command](args, config)
@@ -660,7 +654,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         AlgebraError,
         FlowError,
         JetOrderError,
-        BasisTooLargeError,
     ) as err:
         if config.fmt == "text":
             print(f"error: {err}", file=sys.stderr)

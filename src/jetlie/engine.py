@@ -6,9 +6,10 @@ A candidate characteristic Q is a symmetry iff
 
 identically on the reduced jet space.  The engine computes that residual
 exactly, generates determining systems for an opaque Q, solves finite
-ansatz families through the exact nullspace machinery, and runs bounded
-nonexistence scans.  Every solution the solver reports is re-verified by an
-independent residual computation before it is returned.
+ansatz families through the exact nullspace machinery, and counts what a
+bounded scan finds beyond the already-classified symmetries.  Every
+characteristic the solver reports is re-verified by an independent residual
+computation before it is returned.
 """
 
 from __future__ import annotations
@@ -23,21 +24,12 @@ from .expr import (
     Expr, ExprError, ZERO, as_expr, constant, grlex_key, monomial, sqrt, sum_of_products, symbol,
 )
 from .jets import Manifold
-from .linsolve import linear_solve
+from .linsolve import linear_solve, rational_rref
 from .printer import pretty
 
 
 class EngineError(ValueError):
     pass
-
-
-class BasisTooLargeError(EngineError):
-    def __init__(self, size: int, limit: int):
-        super().__init__(
-            f"ansatz basis of {size} monomials exceeds the configured limit {limit}"
-        )
-        self.size = size
-        self.limit = limit
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +234,10 @@ def ansatz_solve(man: Manifold, basis: Sequence[Expr]) -> AnsatzResult:
         if any(s.kind == sy.K_CONST for s in b.free_symbols()):
             raise EngineError("ansatz basis must not contain unknown constants")
     solution = linear_solve([residual(man, b).value for b in basis])
-    pairs = []
-    for vec in solution.basis:
-        q = ZERO
-        entries: Dict[int, Expr] = {}
-        for k, entry in enumerate(vec):
-            if not entry.is_zero():
-                entries[k] = entry
-                q = q + entry * basis[k]
-        pairs.append((q, entries))
-    pairs, dependent = _function_space_reduce(pairs)
+    vectors, dependent = _reduce_solutions(basis, solution.basis)
     characteristics: List[Expr] = []
-    vectors: List[Dict[int, Expr]] = []
-    for q, entries in pairs:
+    for entries in vectors:
+        q = _combine(basis, entries)
         check = residual(man, q)
         if not check.is_zero:
             raise EngineError(
@@ -262,113 +245,76 @@ def ansatz_solve(man: Manifold, basis: Sequence[Expr]) -> AnsatzResult:
                 f"{pretty(check.value)}"
             )
         characteristics.append(q)
-        vectors.append(entries)
-    result = AnsatzResult(
+    return AnsatzResult(
         basis=basis,
         characteristics=characteristics,
         vectors=vectors,
         assumptions=solution.assumptions,
         dependent_directions=dependent,
     )
-    return _canonicalize_rational_solutions(result)
 
 
-def _function_space_reduce(pairs):
-    """Reduce solutions to a basis of the characteristic *function* space.
+def _combine(basis: Sequence[Expr], entries: Dict[int, Expr]) -> Expr:
+    q = ZERO
+    for k, entry in entries.items():
+        q = q + entry * basis[k]
+    return q
 
-    Nullspace directions along which the ansatz basis itself is linearly
-    dependent produce the zero characteristic; those are dropped (counted),
-    and the rest is put in reduced row echelon form over the term
-    coordinates, so the reported dimension is the dimension of the space of
-    symmetry functions.
+
+def _reduce_solutions(
+    basis: Sequence[Expr], solutions: Sequence[Sequence[Expr]]
+) -> Tuple[List[Dict[int, Expr]], int]:
+    """Reduce nullspace vectors to a basis of the characteristic *function* space.
+
+    Returns (vectors, dependent), each vector mapping a basis index to its
+    nonzero coefficient.  The characteristics are first put in reduced row
+    echelon form over their grlex term coordinates (over Q, with parameter
+    monomials as coordinates), with a tracker of the row combinations riding
+    along.  A direction along which the ansatz basis itself is linearly
+    dependent gives the zero characteristic; it is dropped and counted, so
+    the dimension reported is that of the space of symmetry functions.  When
+    every coefficient left is rational, the vectors are then put in reduced
+    row echelon form over the basis coordinates, which orders them by the
+    basis; the grlex pivots alone would not.
     """
-    from .linsolve import rational_rref
-
-    pairs = [(q, entries) for q, entries in pairs]
-    if not pairs:
-        return [], 0
-    keys = {key for q, _ in pairs for key in q.terms}
+    vectors = [{k: e for k, e in enumerate(vec) if not e.is_zero()} for vec in solutions]
+    qs = [_combine(basis, entries) for entries in vectors]
+    keys = {key for q in qs for key in q.terms}
     grlex = grlex_key(m for m, _k in keys)
     keys = sorted(keys, key=lambda key: (grlex(key[0]), key[1]))
-    n = len(pairs)
-    rows = []
-    for i, (q, _) in enumerate(pairs):
-        row = [q.terms.get(key, Fraction(0)) for key in keys]
-        row += [Fraction(1 if j == i else 0) for j in range(n)]
-        rows.append(row)
-    rref, pivots = rational_rref(rows, pivot_cols=len(keys))
-    out = []
+    n = len(vectors)
+    rows = [
+        [q.terms.get(key, Fraction(0)) for key in keys]
+        + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i, q in enumerate(qs)
+    ]
+    rref, _pivots = rational_rref(rows, pivot_cols=len(keys))
+    reduced = []
     dependent = 0
     for row in rref:
-        left = row[: len(keys)]
-        combo = row[len(keys):]
-        if not any(combo):
-            continue
-        if not any(left):
+        if not any(row[: len(keys)]):
             dependent += 1
             continue
-        q = ZERO
         entries: Dict[int, Expr] = {}
-        for j, c in enumerate(combo):
-            if not c:
-                continue
-            q = q + constant(c) * pairs[j][0]
-            for k, e in pairs[j][1].items():
-                entries[k] = entries.get(k, ZERO) + constant(c) * e
-        entries = {k: e for k, e in entries.items() if not e.is_zero()}
-        out.append((q, entries))
-    return out, dependent
-
-
-def _canonicalize_rational_solutions(result: AnsatzResult) -> AnsatzResult:
-    """Present rational solution spaces in reduced row echelon form.
-
-    Returns the result unchanged when a coefficient is not rational.
-    """
-    from .linsolve import rational_rref
-
-    n = len(result.basis)
-    rows = []
-    for entries in result.vectors:
-        row = [Fraction(0)] * n
-        for k, e in entries.items():
-            try:
-                row[k] = e.as_fraction()
-            except ExprError:
-                return result
-        rows.append(row)
-    if not rows:
-        return result
-    rref, pivots = rational_rref(rows)
-    rref = [row for row in rref if any(row)]
-    characteristics = []
-    vectors = []
-    for row in rref:
-        q = ZERO
-        entries = {}
-        for k, c in enumerate(row):
+        for j, c in enumerate(row[len(keys):]):
             if c:
-                entries[k] = constant(c)
-                q = q + constant(c) * result.basis[k]
-        characteristics.append(q)
-        vectors.append(entries)
-    return result._replace(characteristics=characteristics, vectors=vectors)
+                for k, e in vectors[j].items():
+                    entries[k] = entries.get(k, ZERO) + constant(c) * e
+        reduced.append({k: e for k, e in sorted(entries.items()) if not e.is_zero()})
+    try:
+        rows = [
+            [entries.get(k, ZERO).as_fraction() for k in range(len(basis))]
+            for entries in reduced
+        ]
+    except ExprError:
+        return reduced, dependent
+    rref, _pivots = rational_rref(rows)
+    return [{k: constant(c) for k, c in enumerate(row) if c} for row in rref], dependent
 
 
 # ---------------------------------------------------------------------------
 # bounded nonexistence scans
 # ---------------------------------------------------------------------------
-
-
-class NonexistenceReport(NamedTuple):
-    order: int
-    degree: int
-    basis_size: int
-    total_dimension: int
-    new_dimension: int
-    label: str
-    assumptions: List[str]
-    result: AnsatzResult
 
 
 def _term_beyond_known_class(mono, k: int, radicand, order: int) -> bool:
@@ -412,8 +358,6 @@ def new_dimension_count(characteristics: Sequence[Expr], order: int) -> int:
         [q.terms.get(key, Fraction(0)) for key in high_keys]
         for q in characteristics
     ]
-    from .linsolve import rational_rref
-
     _, pivots = rational_rref(rows)
     return len(pivots)
 
@@ -441,37 +385,8 @@ def jet_monomial_basis(order: int, degree: int) -> List[Expr]:
     return out
 
 
-def bounded_nonexistence(
-    man: Manifold,
-    order: int,
-    degree: int = 3,
-    basis_limit: int = 600,
-    extra_elements: Sequence[Expr] = (),
-) -> NonexistenceReport:
-    """Ansatz-bounded scan for new symmetries at the given jet order.
-
-    Reports the dimension of the solution space and the number of dimensions
-    not accounted for by characteristics of strictly lower order.  A zero in
-    the latter is a bounded confirmation only: it rules out candidates inside
-    the scanned ansatz, nothing more.
-    """
-    if order not in (1, 2, 3, 4):
-        raise EngineError("bounded scans support orders 1 through 4")
-    basis = jet_monomial_basis(order, degree) + list(extra_elements)
-    if len(basis) > basis_limit:
-        raise BasisTooLargeError(len(basis), basis_limit)
-    result = ansatz_solve(man, basis)
-    new_dim = new_dimension_count(result.characteristics, order)
-    return NonexistenceReport(
-        order=order,
-        degree=degree,
-        basis_size=len(basis),
-        total_dimension=result.dimension,
-        new_dimension=new_dim,
-        label="ansatz-bounded",
-        assumptions=result.assumptions,
-        result=result,
-    )
+# the bounded scans: name -> (jet order, total degree) of their jet_monomial_basis
+BOUNDED_SCANS = {"order-2": (2, 3), "order-4": (4, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +475,12 @@ BUILTIN_BASES = ("point-affine", "order-2", "order-3", "order-3-derived", "order
 def builtin_basis(name: str, interp: str = "third") -> List[Expr]:
     if name == "point-affine":
         return point_affine_basis()
-    if name == "order-2":
-        return jet_monomial_basis(2, 3)
+    if name in BOUNDED_SCANS:
+        return jet_monomial_basis(*BOUNDED_SCANS[name])
     if name == "order-3":
         return order3_claimed_basis(interp)
     if name == "order-3-derived":
         return order3_derived_basis()
-    if name == "order-4":
-        return jet_monomial_basis(4, 2)
     raise EngineError(f"unknown basis family {name!r}")
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .algebra import exact_matrix_exp
-from .expr import Expr, ExprError, ONE, ZERO, _q, as_expr, symbol
+from .expr import Expr, ExprError, ONE, ZERO, _q, as_expr, monomial, symbol
 from .fields import PointVectorField
 from .jets import Manifold
 from .printer import pretty
@@ -181,9 +181,7 @@ def equation_invariance(man: Manifold, g: GroupElement) -> InvarianceResult:
         bindings[s] = (p_inv ** i) * (q_inv ** j) * (lam * symbol(s) + mu_der)
     transformed = delta.substitute(bindings)
 
-    from .expr import monomial as make_mono
-
-    uxt_mono = make_mono(((sy.jet(1, 1), 1),))
+    uxt_mono = monomial(((sy.jet(1, 1), 1),))
     factor = transformed.coefficient(
         uxt_mono, lambda s: s.kind == sy.K_JET and s == sy.jet(1, 1)
     )
@@ -382,23 +380,9 @@ def _reduce_scaling(man: Manifold, weight: int) -> ReducedODE:
 
     # rewrite x^p t^q monomials as x^(p-q) z^q; scaling invariance makes the
     # leftover x power uniform, which is itself a structural check
-    sigma = None
-    ode_terms = {}
-    z = sy.Z
-    from .expr import monomial as make_mono
-
-    for (m, k), c in delta_img.terms.items():
-        assert k == 0
-        p = m.exponent(sy.X)
-        q = m.exponent(sy.T)
-        if sigma is None:
-            sigma = p - q
-        elif p - q != sigma:
-            raise FlowError("scaling reduction did not produce a similarity form")
-        rest = [(s, e) for s, e in m.powers if s not in (sy.X, sy.T)]
-        key = (make_mono(tuple(rest) + ((z, q),)), 0)
-        ode_terms[key] = ode_terms.get(key, 0) + c
-    ode = Expr({k: _q(v) for k, v in ode_terms.items() if v}, None)
+    m, _k = next(iter(delta_img.terms))
+    sigma = m.exponent(sy.X) - m.exponent(sy.T)
+    ode = _rewrite_in_z(delta_img, sigma)
     lhs_ode = _rewrite_in_z(lhs, sigma)
     rhs_ode = _rewrite_in_z(rhs, sigma)
     return ReducedODE(
@@ -415,8 +399,6 @@ def _reduce_scaling(man: Manifold, weight: int) -> ReducedODE:
 
 
 def _rewrite_in_z(e: Expr, sigma: int) -> Expr:
-    from .expr import monomial as make_mono
-
     out = {}
     for (m, k), c in e.terms.items():
         p = m.exponent(sy.X)
@@ -424,6 +406,6 @@ def _rewrite_in_z(e: Expr, sigma: int) -> Expr:
         if p - q != sigma:
             raise FlowError("scaling reduction did not produce a similarity form")
         rest = [(s, e2) for s, e2 in m.powers if s not in (sy.X, sy.T)]
-        key = (make_mono(tuple(rest) + ((sy.Z, q),)), 0)
+        key = (monomial(tuple(rest) + ((sy.Z, q),)), 0)
         out[key] = out.get(key, 0) + c
     return Expr({k: _q(v) for k, v in out.items() if v}, None)

@@ -20,9 +20,9 @@ Sylvester's identity), so entries stay polynomial.  Pivots that are not
 rational constants are reported as nonvanishing assumptions instead of
 case-splitting.
 
-A small dense `Fraction` toolkit (rref / solve / nullspace) backs
-structure-constant decompositions and canonical presentation of solution
-spaces.
+Two dense `Fraction` helpers, `rational_rref` and `rational_solve`, back
+structure-constant decompositions, the echelon form of ansatz solutions and
+the rank counts of bounded scans.
 """
 
 from __future__ import annotations

@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from jetlie import claims
+from jetlie import engine
 from jetlie import expr as ex
 from jetlie import symbols as sy
 from jetlie.engine import (
-    BasisTooLargeError,
     EngineError,
     ansatz_solve,
-    bounded_nonexistence,
     determining_system,
     jet_monomial_basis,
+    new_dimension_count,
     opaque_q,
     point_affine_basis,
     residual,
@@ -183,22 +183,51 @@ def test_ansatz_rejects_unknown_constants(man):
 
 
 def test_bounded_order1_contact_scan(man):
-    report = bounded_nonexistence(man, order=1, degree=3)
-    assert report.total_dimension == 3
-    assert report.new_dimension == 0  # no proper contact symmetry in the ansatz
-    assert report.label == "ansatz-bounded"
+    result = ansatz_solve(man, jet_monomial_basis(1, 3))
+    assert result.dimension == 3
+    assert new_dimension_count(result.characteristics, 1) == 0  # no proper contact symmetry
 
 
 def test_bounded_order2_scan(man):
-    report = bounded_nonexistence(man, order=2, degree=3)
-    assert report.total_dimension == 3
-    assert report.new_dimension == 0
-    assert report.basis_size == 168
+    basis = jet_monomial_basis(2, 3)
+    result = ansatz_solve(man, basis)
+    assert result.dimension == 3
+    assert new_dimension_count(result.characteristics, 2) == 0
+    assert len(basis) == 168
 
 
-def test_basis_limit():
-    with pytest.raises(BasisTooLargeError):
-        bounded_nonexistence(Manifold(), order=2, degree=3, basis_limit=10)
+def test_printed_generators_are_the_verified_ones(man, monkeypatch):
+    # the solution space of [u_x + u_t, u_x] is spanned by u_x, u_t in grlex
+    # echelon form and by u_t + u_x, u_x in basis echelon form: whichever is
+    # returned must be what the post-solve residuals checked
+    checked = []
+    original = engine.residual
+
+    def recording(man, q):
+        checked.append(q)
+        return original(man, q)
+
+    monkeypatch.setattr(engine, "residual", recording)
+    basis = [ux + ut, ux]
+    result = ansatz_solve(man, basis)
+    assert result.characteristics == [ut + ux, ux]
+    assert all(q in checked[len(basis):] for q in result.characteristics)
+
+
+@pytest.mark.parametrize(
+    "basis, dimension, dependent, generators",
+    [
+        ([ux, ut, ux + ut], 2, 1, [ux, ut]),
+        ([u, 2 * u], 0, 1, []),
+    ],
+)
+def test_dependent_ansatz_directions(man, basis, dimension, dependent, generators):
+    # a direction along which the basis itself is dependent gives the zero
+    # characteristic: it is counted, not reported as a symmetry
+    result = ansatz_solve(man, basis)
+    assert result.dimension == dimension
+    assert result.dependent_directions == dependent
+    assert result.characteristics == generators
 
 
 def test_spot_check_agreement(man):
