@@ -123,6 +123,12 @@ COMMAND_INPUT_ERRORS = {
         ["verify", "--", "u^2000000000*u^2000000000"],
         "error: exponent of u out of range: |n| must be at most 2147483647\n",
     ),
+    # the flow matrix of v3/2 has eigenvalues +-1/2
+    "flow-half-eigenvalues": (
+        ["flow", "--gen=0,0,1/2"],
+        "error: matrix exponential needs integer eigenvalues; "
+        "characteristic polynomial has a non-integer root\n",
+    ),
 }
 
 
