@@ -1,11 +1,16 @@
 """Adjoint representation, exact exponentials, optimal-system normalization.
 
-Matrix exponentials are computed in closed form over Q: the characteristic
-polynomial must split over the integers (decided exactly), and exp(eps*A)
-is assembled from spectral projectors as sum_i e^(lam_i eps) * P_i *
-sum_k eps^k (A - lam_i)^k / k!.  Entries live in the expression kernel with
-`eps` an ordinary symbol and `exp(eps)` an invertible one, so composition,
-inversion and the automorphism property are all exact identities.
+Matrix exponentials are computed in closed form over Q, with `rational_rref`
+as the only solver.  When every eigenvalue of A is an integer, their squares
+sum to tr(A^2), so each integer lam with lam^2 <= tr(A^2) is tried: the
+generalized eigenspace ker (A - lam)^n is the free-column kernel of an rref.
+The spaces must fill Q^n, i.e. every eigenvalue is an integer; else the
+exponential is refused.  With these eigenvectors as the columns of V, one rref of [V | I]
+gives V^-1 and each spectral projector P_lam = V_lam (V^-1)_lam, and exp(eps*A)
+= sum_lam e^(lam eps) sum_k eps^k (A - lam)^k P_lam / k!.  Entries live in the
+expression kernel with `eps` an ordinary symbol and `exp(eps)` an invertible
+one, so composition, inversion and the automorphism property are all exact
+identities.
 
 Adjoint maps follow the Lie series convention
 
@@ -23,6 +28,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import symbols as sy
 from .expr import Expr, ONE, ZERO, symbol
 from .fields import StructureTable
+from .linsolve import rational_rref, rational_solve
 
 Vec = Tuple[Fraction, ...]
 
@@ -36,63 +42,6 @@ class SubalgebraError(AlgebraError):
         super().__init__(message)
         self.bracket = bracket
         self.residual = residual
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomial helpers over Fraction (dense, low degree)
-# ---------------------------------------------------------------------------
-
-
-def _p_trim(p: List[Fraction]) -> List[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _p_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _p_trim(out)
-
-
-def _p_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _p_trim(list(a)):
-        if len(a) < len(b):
-            break
-        coef = a[-1] / b[-1]
-        deg = len(a) - len(b)
-        q[deg] = coef
-        for i, y in enumerate(b):
-            a[deg + i] -= coef * y
-        _p_trim(a)
-    return _p_trim(q), _p_trim(a)
-
-
-def _p_mod(a, b):
-    return _p_divmod(a, b)[1]
-
-
-def _p_xgcd(a, b):
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _p_trim(list(r1)):
-        q, r = _p_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _p_trim([x - y for x, y in _pad(s0, _p_mul(q, s1))])
-        t0, t1 = t1, _p_trim([x - y for x, y in _pad(t0, _p_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -110,80 +59,18 @@ def _mat_mul(a, b):
     ]
 
 
-def _mat_identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def char_poly(a: List[List[Fraction]]) -> List[Fraction]:
-    """Coefficients c0..cn (ascending) of det(z I - A), via Faddeev-LeVerrier."""
-    n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = _mat_identity(n)
-    for k in range(1, n + 1):
-        am = _mat_mul(a, m)
-        coeffs[n - k] = -sum(am[i][i] for i in range(n)) / k
-        m = [
-            [am[i][j] + (coeffs[n - k] if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-    return coeffs
-
-
-def _eval_poly(p: List[Fraction], r) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(p):
-        total = total * r + c
-    return total
-
-
-def integer_eigenvalues(a: List[List[Fraction]]) -> Dict[int, int]:
-    """Eigenvalues with multiplicity; error if any eigenvalue is not an integer."""
-    poly = char_poly(a)
-    roots: Dict[int, int] = {}
-    while len(poly) > 1:
-        if poly[0] == 0:
-            root = 0
-        else:
-            den = math.lcm(*(c.denominator for c in poly))
-            const = abs(int(poly[0] * den))
-            root = None
-            for cand in _divisor_candidates(const):
-                for r in (cand, -cand):
-                    if _eval_poly(poly, Fraction(r)) == 0:
-                        root = r
-                        break
-                if root is not None:
-                    break
-            if root is None:
-                raise AlgebraError(
-                    "matrix exponential needs integer eigenvalues; "
-                    "characteristic polynomial has a non-integer root"
-                )
-        # synthetic deflation by (z - root)
-        quotient = [Fraction(0)] * (len(poly) - 1)
-        acc = poly[-1]
-        for i in range(len(poly) - 2, -1, -1):
-            quotient[i] = acc
-            acc = poly[i] + acc * root
-        if acc != 0:
-            raise AlgebraError("deflation failed")
-        poly = quotient
-        roots[root] = roots.get(root, 0) + 1
-    return roots
-
-
-def _divisor_candidates(n: int):
-    if n == 0:
-        return [0]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _kernel(mat: List[List[Fraction]]) -> List[List[Fraction]]:
+    """A basis of ker(mat), one vector per free column of its rref."""
+    rref, pivots = rational_rref(mat)
+    basis = []
+    for f in range(len(mat[0])):
+        if f not in pivots:
+            v = [Fraction(0)] * len(mat[0])
+            v[f] = Fraction(1)
+            for row, p in zip(rref, pivots):
+                v[p] = -row[f]
+            basis.append(v)
+    return basis
 
 
 def exact_matrix_exp(
@@ -191,31 +78,41 @@ def exact_matrix_exp(
 ) -> List[List[Expr]]:
     """exp(eps * A) with entries polynomial in eps and exp(eps)^k, exactly."""
     n = len(a)
-    roots = integer_eigenvalues(a)
+    # if every eigenvalue is an integer, their squares sum to tr(A^2), so none
+    # lies beyond this bound, however large the entries of A (a translation
+    # has tr(A^2) = 0); keep the generalized eigenspace ker (A - lam)^n of each
+    spaces = {}
+    trace = sum(a[i][k] * a[k][i] for i in range(n) for k in range(n))
+    bound = math.isqrt(max(0, math.floor(trace)))
+    for lam in range(-bound, bound + 1):
+        shifted = [[a[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+        if len(rational_rref(shifted)[1]) == n:  # lam is no eigenvalue
+            continue
+        power = shifted
+        for _ in range(n - 1):
+            power = _mat_mul(shifted, power)
+        spaces[lam] = (shifted, _kernel(power))
+    columns = [v for _shifted, space in spaces.values() for v in space]
+    if len(columns) != n:
+        raise AlgebraError(
+            "matrix exponential needs integer eigenvalues; "
+            "characteristic polynomial has a non-integer root"
+        )
+    # the generalized eigenvectors are the columns of V; rref [V | I] = [I | V^-1]
+    augmented = [
+        [v[i] for v in columns] + [Fraction(1 if i == k else 0) for k in range(n)]
+        for i in range(n)
+    ]
+    inverse = [row[n:] for row in rational_rref(augmented)[0]]
     eps = symbol(sy.eps(eps_name))
     e_sym = symbol(sy.exp_eps(eps_name))
-    # spectral projectors by CRT over Q[z]
-    modulus_factors = {}
-    for lam, mult in roots.items():
-        base = [Fraction(-lam), Fraction(1)]
-        f = [Fraction(1)]
-        for _ in range(mult):
-            f = _p_mul(f, base)
-        modulus_factors[lam] = f
-    total = [Fraction(1)]
-    for f in modulus_factors.values():
-        total = _p_mul(total, f)
     out = [[ZERO for _ in range(n)] for _ in range(n)]
-    for lam, mult in roots.items():
-        others, _ = _p_divmod(total, modulus_factors[lam])
-        g, s, _t = _p_xgcd(others, modulus_factors[lam])
-        if len(g) != 1:
-            raise AlgebraError("projector construction failed")
-        inv = [c / g[0] for c in s]
-        e_poly = _p_mod(_p_mul(others, inv), total)
-        proj = _poly_of_matrix(e_poly, a)
-        nilp = [[a[i][j] - (Fraction(lam) if i == j else 0) for j in range(n)] for i in range(n)]
-        npow = proj
+    start = 0
+    for lam, (nilp, space) in spaces.items():
+        mult = len(space)
+        # the spectral projector P_lam = V_lam (V^-1)_lam
+        npow = _mat_mul([[v[i] for v in space] for i in range(n)], inverse[start : start + mult])
+        start += mult
         fact = 1
         for k in range(mult):
             scale = Fraction(1, fact)
@@ -226,19 +123,6 @@ def exact_matrix_exp(
                         out[i][j] = out[i][j] + coeff.scale(scale * npow[i][j])
             npow = _mat_mul(nilp, npow)
             fact *= k + 1
-    return out
-
-
-def _poly_of_matrix(p: List[Fraction], a) -> List[List[Fraction]]:
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    power = _mat_identity(n)
-    for c in p:
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += c * power[i][j]
-        power = _mat_mul(a, power)
     return out
 
 
@@ -471,8 +355,6 @@ def normalize_2d(
 ) -> Normalize2D:
     """Classify a 2-dimensional subalgebra to its representative pair."""
     _check_spe_table(table)
-    from .linsolve import rational_rref, rational_solve
-
     a = tuple(Fraction(v) for v in h1)
     b = tuple(Fraction(v) for v in h2)
     rref, pivots = rational_rref([list(a), list(b)])

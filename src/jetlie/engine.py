@@ -19,12 +19,14 @@ import random
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import claims
 from . import symbols as sy
 from .expr import (
     Expr, ExprError, ZERO, as_expr, constant, grlex_key, monomial, sqrt, sum_of_products, symbol,
 )
 from .jets import Manifold
 from .linsolve import linear_solve, rational_rref
+from .parser import parse
 from .printer import pretty
 
 
@@ -408,16 +410,12 @@ POINT_AFFINE_BASIS_NAMES = (
 
 
 def point_affine_basis() -> List[Expr]:
-    from .parser import parse
-
     return [parse(text) for text in POINT_AFFINE_BASIS_NAMES]
 
 
 def order3_claimed_basis(interp: str = "third") -> List[Expr]:
     """Claimed-family scan: the affine point basis plus every monomial of the
     claimed third-order family (under one reading) and its radical member."""
-    from . import claims
-
     ux = symbol(sy.jet(1, 0))
     uxx = symbol(sy.jet(2, 0))
     extras = [
@@ -446,8 +444,6 @@ def order3_derived_kernel() -> Expr:
 def order3_derived_basis() -> List[Expr]:
     """Radical scan over the first-derivative kernel, where a genuine
     third-order symmetry lives."""
-    from .expr import sqrt
-
     ux = symbol(sy.jet(1, 0))
     uxx = symbol(sy.jet(2, 0))
     ux3 = symbol(sy.jet(3, 0))

@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .symbols import K_EXP, Sym, allows_negative_power
+from .symbols import K_CONST, K_EXP, K_JET, K_OPAQUE, Sym, allows_negative_power
 
 Coeff = Union[int, Fraction]
 QZERO = Fraction(0)
@@ -575,8 +575,6 @@ class Expr:
     # -- calculus ----------------------------------------------------------------
 
     def diff(self, s: Sym) -> "Expr":
-        from .symbols import K_OPAQUE
-
         if s.kind == K_OPAQUE:
             raise ExprError("cannot differentiate with respect to an opaque symbol")
         return self.diff_atom(s)
@@ -696,8 +694,6 @@ class Expr:
 
     def content(self) -> Tuple[Coeff, Monomial]:
         """Rational and monomial content over all non-opaque, non-constant symbols."""
-        from .symbols import K_CONST, K_OPAQUE
-
         if not self.terms:
             return QONE, MONE
         num = 0
@@ -741,8 +737,6 @@ class Expr:
         return Expr(acc, self.radicand if any(k for (_, k) in acc) else None)
 
     def max_jet_order(self) -> int:
-        from .symbols import K_JET
-
         best = 0
         for s in self.free_symbols():
             if s.kind == K_JET:

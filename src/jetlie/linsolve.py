@@ -21,8 +21,10 @@ rational constants are reported as nonvanishing assumptions instead of
 case-splitting.
 
 Two dense `Fraction` helpers, `rational_rref` and `rational_solve`, back
-structure-constant decompositions, the echelon form of ansatz solutions and
-the rank counts of bounded scans.
+structure-constant decompositions, the echelon form of ansatz solutions, the
+rank counts of bounded scans, the in-span reduction of subalgebra pairs, and
+the kernels and inverses from which `algebra.exact_matrix_exp` builds matrix
+exponentials.
 """
 
 from __future__ import annotations

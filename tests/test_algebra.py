@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetlie import expr as ex
 from jetlie import symbols as sy
@@ -12,9 +14,7 @@ from jetlie.algebra import (
     ad_matrix,
     adjoint_exp,
     apply_adjoint_at,
-    char_poly,
     exact_matrix_exp,
-    integer_eigenvalues,
     normalize_1d,
     normalize_2d,
     preserves_structure,
@@ -52,18 +52,73 @@ def test_abelian_ad_is_zero():
     assert ad_matrix(tab, 0) == [[0, 0], [0, 0]]
 
 
-def test_char_poly_and_eigenvalues():
-    a = [[F(1), F(0)], [F(0), F(-1)]]
-    assert char_poly(a) == [F(-1), F(0), F(1)]
-    assert integer_eigenvalues(a) == {1: 1, -1: 1}
-    nil = [[F(0), F(1)], [F(0), F(0)]]
-    assert integer_eigenvalues(nil) == {0: 2}
-    bad = [[F(0), F(1)], [F(-1), F(0)]]  # eigenvalues +-i
-    with pytest.raises(AlgebraError):
-        integer_eigenvalues(bad)
-    half = [[F(1, 2)]]
-    with pytest.raises(AlgebraError):
-        integer_eigenvalues(half)
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _jordan_conjugates(draw, n):
+    """An n x n matrix P J P^-1 with J an integer Jordan form, its eigenvalues in
+    [-3, 3], and P a product of elementary integer row operations and scalings."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    a = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        lam = draw(st.integers(-3, 3))
+        for i in range(start, start + size):
+            a[i][i] = F(lam)
+            if i + 1 < start + size:
+                a[i][i + 1] = F(1)
+        start += size
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            c = F(draw(st.integers(-2, 2)))
+            e = [[F(r == k) for k in range(n)] for r in range(n)]
+            e_inv = [row[:] for row in e]
+            if draw(st.booleans()):  # add c * row j to row i
+                e[i][j], e_inv[i][j] = c, -c
+            else:  # scale row i by d != 0
+                d = c or F(2)
+                e[i][i], e_inv[i][i] = d, 1 / d
+            a = _mul(_mul(e, a), e_inv)
+    return a
+
+
+@st.composite
+def _affine_flows(draw):
+    """The 4 x 4 matrix of an affine field: a 3 x 3 block, a translation column, a zero row."""
+    block = draw(_jordan_conjugates(3))
+    shift = [F(draw(st.integers(-3, 3))) for _ in range(3)]
+    return [row + [c] for row, c in zip(block, shift)] + [[F(0)] * 4]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(st.integers(1, 4).flatmap(_jordan_conjugates), _affine_flows()))
+def test_exact_matrix_exp_solves_its_ode(a):
+    """Y = exp(eps*A) is I at eps = 0 and satisfies dY/deps = A*Y, with
+    d/deps = partial/partial eps + exp(eps) * partial/partial exp(eps)."""
+    n = len(a)
+    eps, e = sy.eps("e"), sy.exp_eps("e")
+    y = exact_matrix_exp(a, "e")
+    at_zero = {eps: ex.ZERO, e: ex.ONE}
+    for i in range(n):
+        for j in range(n):
+            assert y[i][j].substitute(at_zero) == (ex.ONE if i == j else ex.ZERO)
+            derivative = y[i][j].diff(eps) + ex.symbol(e) * y[i][j].diff(e)
+            assert derivative == sum((y[k][j].scale(a[i][k]) for k in range(n)), ex.ZERO)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[F(0), F(1)], [F(-1), F(0)]], [[F(1, 2)]]],  # eigenvalues +-i, and 1/2
+    ids=["imaginary", "half"],
+)
+def test_exact_matrix_exp_needs_integer_eigenvalues(a):
+    with pytest.raises(AlgebraError, match="^matrix exponential needs integer eigenvalues; "):
+        exact_matrix_exp(a)
 
 
 def test_exact_matrix_exp_nilpotent():
@@ -73,6 +128,9 @@ def test_exact_matrix_exp_nilpotent():
     assert m[0][0] == ex.ONE
     assert m[0][1] == eps
     assert m[1][1] == ex.ONE
+    # a translation by a large step has one eigenvalue, 0, to try
+    m = exact_matrix_exp([[F(0), F(10**12)], [F(0), F(0)]], "e")
+    assert m[0][1] == eps.scale(10**12)
 
 
 def test_exact_matrix_exp_diagonal():

@@ -1,4 +1,5 @@
-"""Every name a `jetlie` module imports is used in that module."""
+"""Every name a `jetlie` module imports is used in that module, and a module
+imports a sibling below its top level only to break an import cycle."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,63 @@ def test_the_scan_sees_a_use_in_code_and_in_a_string_annotation():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_uses_every_name_it_imports(name):
     assert unused_imports((PACKAGE / name).read_text()) == []
+
+
+def _relative_imports(node):
+    """The sibling modules a `from .X import ...` or `from . import X` node names."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return []
+    if node.module:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+def needless_local_imports(sources):
+    """The relative imports below the top level of the modules in `sources`
+    ({module: text}) that break no import cycle: the imported module does not
+    import the importing one, directly or through others, at top level."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    top = {
+        name: {m for node in tree.body for m in _relative_imports(node)}
+        for name, tree in trees.items()
+    }
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name == goal:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo.extend(top.get(name, ()))
+        return False
+
+    out = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if node in tree.body:
+                continue
+            for target in _relative_imports(node):
+                if not reaches(target, name):
+                    out.append(f"{name}: {target} (line {node.lineno})")
+    return sorted(out)
+
+
+def test_the_scan_keeps_a_cycle_breaking_local_import_only():
+    sources = {
+        "expr": "def show(e):\n    from .printer import pretty\n    return pretty(e)\n",
+        "printer": "from .expr import show\n",
+        "engine": (
+            "from .expr import show\n"
+            "def basis():\n"
+            "    from .expr import show\n"
+            "    from . import printer\n"
+        ),
+    }
+    assert needless_local_imports(sources) == ["engine: expr (line 3)", "engine: printer (line 4)"]
+
+
+def test_a_local_import_breaks_an_import_cycle():
+    sources = {name[: -len(".py")]: (PACKAGE / name).read_text() for name in MODULES}
+    assert needless_local_imports(sources) == []
