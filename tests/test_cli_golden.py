@@ -54,23 +54,26 @@ COMMAND_CASES = {
 # `verify` exits 1 when a candidate is not a symmetry
 EXIT_CODES = {"verify-weight3-both": 1, "verify-u40000": 1}
 POINTS = {"sym": [], "a1-b1_2": ["--alpha", "1", "--beta", "1/2"]}
+# the bounded scans at a point with a denominator-3 parameter
+SCAN_POINTS = {"a5_2-b5_3": ["--alpha=5/2", "--beta=5/3"]}
+SCAN_CASES = {"order-2": ["solve", "order-2"], "order-4": ["solve", "order-4"]}
 SUFFIX = {"text": "txt", "json": "json"}
 
 
-def _golden_runs(cases):
+def _golden_runs(cases, points=POINTS):
     return [
         (
             f"{case}.{point}.{SUFFIX[fmt]}",
-            POINTS[point] + ["--format", fmt] + argv,
+            points[point] + ["--format", fmt] + argv,
             EXIT_CODES.get(case, 0),
         )
         for case, argv in cases.items()
-        for point in POINTS
+        for point in points
         for fmt in SUFFIX
     ]
 
 
-GOLDEN_RUNS = _golden_runs(CASES)
+GOLDEN_RUNS = _golden_runs(CASES) + _golden_runs(SCAN_CASES, SCAN_POINTS)
 COMMAND_RUNS = _golden_runs(COMMAND_CASES)
 
 INPUT_ERRORS = [
