@@ -24,7 +24,7 @@ from . import symbols as sy
 from .expr import (
     Expr, ExprError, ZERO, as_expr, constant, grlex_key, monomial, sqrt, sum_of_products, symbol,
 )
-from .jets import Manifold
+from .jets import Manifold, expand_equation
 from .linsolve import linear_solve, rational_rref
 from .parser import parse
 from .printer import pretty
@@ -231,11 +231,38 @@ class AnsatzResult(NamedTuple):
 
 
 def ansatz_solve(man: Manifold, basis: Sequence[Expr]) -> AnsatzResult:
+    """The symmetries sum_j c_j * basis[j] with constant c_j, each re-verified on `man`.
+
+    The point route: when `man`'s equation binds alpha and beta to rationals, one
+    of them not an integer, and no basis element names a parameter, the column of
+    each radical-free element is built on the generic equation, whose
+    coefficients are integers, and `linear_solve` evaluates it at the point.
+    The Fractions of the point then never pass through a total derivative.
+    Radical columns and every other case are built on `man`.  The order of the
+    rows that this changes cannot reach the report: at a full point every entry
+    is a rational constant, so `nullspace` adds no assumption, and
+    `_reduce_solutions` ends in the unique rref over basis coordinates, which
+    depends only on the solution space.
+    """
     basis = [as_expr(b) for b in basis]
+    symbols = set()
     for b in basis:
-        if any(s.kind == sy.K_CONST for s in b.free_symbols()):
-            raise EngineError("ansatz basis must not contain unknown constants")
-    solution = linear_solve([residual(man, b).value for b in basis])
+        symbols |= b.free_symbols()
+    if any(s.kind == sy.K_CONST for s in symbols):
+        raise EngineError("ansatz basis must not contain unknown constants")
+    point = man.equation.point
+    generic = None
+    if (
+        len(point) == 2
+        and any(v.denominator != 1 for v in point.values())
+        and not any(s.kind == sy.K_PARAM for s in symbols)
+    ):
+        generic = Manifold(expand_equation(), man.max_order)
+    columns = (
+        residual(man if generic is None or b.has_radical() else generic, b).value
+        for b in basis
+    )
+    solution = linear_solve(columns, point if generic is not None else None)
     vectors, dependent = _reduce_solutions(basis, solution.basis)
     characteristics: List[Expr] = []
     for entries in vectors:

@@ -163,10 +163,6 @@ class Monomial(int):
 MONE = Monomial(0)
 
 
-def _out_of_range(s: Sym) -> ExprError:
-    return ExprError(f"exponent of {s.pretty()} out of range: |n| must be at most {MAX_EXPONENT}")
-
-
 def monomial(pairs: Iterable[Tuple[Sym, int]]) -> Monomial:
     acc: Dict[Sym, int] = {}
     for s, e in pairs:
@@ -181,7 +177,9 @@ def monomial(pairs: Iterable[Tuple[Sym, int]]) -> Monomial:
     v = 0
     for s, e in acc.items():
         if abs(e) > MAX_EXPONENT:
-            raise _out_of_range(s)
+            raise ExprError(
+                f"exponent of {s.pretty()} out of range: |n| must be at most {MAX_EXPONENT}"
+            )
         off = _offset(s)
         v |= e << off if e > 0 else -e << (off + _W)
     return Monomial(v)
@@ -205,7 +203,11 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     r = m1 + m2
     if r & _CHECK:
         if r & _GUARD:
-            raise _out_of_range(_named(r & _GUARD)[0])
+            s = _named(r & _GUARD)[0]
+            raise ExprError(
+                f"an intermediate exponent of {s.pretty()} overflowed: "
+                f"|n| must be at most {MAX_EXPONENT}"
+            )
         r = _exp_normal(r)
     return Monomial(r)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Union
 
 from . import symbols as sy
-from .expr import ONE, Expr, as_expr, sum_of_products, symbol
+from .expr import ONE, Expr, ExprError, as_expr, sum_of_products, symbol
 
 DEFAULT_MAX_ORDER = 12
 
@@ -35,12 +35,14 @@ class JetOrderError(ValueError):
 
 
 class Equation:
-    """u_xt = rhs, with rhs polynomial in u and pure x-derivatives."""
+    """u_xt = rhs, with rhs polynomial in u and pure x-derivatives.  `point` maps
+    each parameter that was given a rational value to that value."""
 
-    __slots__ = ("rhs",)
+    __slots__ = ("rhs", "point")
 
-    def __init__(self, rhs: Expr):
+    def __init__(self, rhs: Expr, point: Optional[Dict[sy.Sym, Fraction]] = None):
         self.rhs = rhs
+        self.point = point or {}
         for s in rhs.free_symbols():
             if s.kind == sy.K_JET:
                 i, j = s.jet_orders
@@ -57,7 +59,13 @@ def expand_equation(alpha: Union[Expr, Fraction, int] = None,
     b = symbol(sy.BETA) if beta is None else as_expr(beta)
     u3 = symbol(sy.U) ** 3
     rhs = a * symbol(sy.U) + b.scale(Fraction(1, 3)) * free_total_dx(free_total_dx(u3))
-    return Equation(rhs=rhs)
+    point = {}
+    for s, value in ((sy.ALPHA, a), (sy.BETA, b)):
+        try:
+            point[s] = value.as_fraction()
+        except ExprError:  # a symbol, or an expression that is no rational constant
+            pass
+    return Equation(rhs=rhs, point=point)
 
 
 def _rate(s: sy.Sym, direction: int, produce):

@@ -6,6 +6,15 @@ expressions become matrix rows: one row per (coordinate monomial, radical
 stratum), with the parameter monomials as entries.  Rows are raw
 `{column: {(parameter monomial, 0): coefficient}}` dicts.
 
+Given a rational point (alpha, beta), `linear_solve` evaluates each parameter
+monomial there while it splits, and drops the entries and rows that vanish.
+`engine.ansatz_solve` takes this route when both parameters are rational and
+one is not an integer: its radical-free columns are then built on the generic
+equation, whose coefficients are integers.  At such a full point the row
+order cannot reach a report, unlike at `sym`, where it orders the
+assumptions: every entry is a rational constant, so `nullspace` adds no
+assumption, and the solution space it spans does not depend on the order.
+
 The homogeneous solver `nullspace` works over the fraction field of
 polynomials in the equation parameters without ever forming fractions
 (Bareiss, Math. Comp. 22, 1968).  Single-entry propagation, which forces
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import symbols as sy
 from .expr import (
@@ -44,6 +53,8 @@ from .expr import (
     ZERO,
     Monomial,
     TermKey,
+    _accumulate,
+    _q,
     common_kernel,
     expr_div_exact,
     grlex_key,
@@ -189,9 +200,13 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
                 if repeats(i):
                     continue
                 (j,) = live
-                note = _assumption(Expr(rows[i][j], None))
-                if note and note not in assumptions:
-                    assumptions.append(note)
+                entry = rows[i][j]
+                # a one-term entry c*m, m a parameter monomial, is its own content:
+                # its primitive part is 1, which gives no note
+                if len(entry) > 1:
+                    note = _assumption(Expr(entry, None))
+                    if note and note not in assumptions:
+                        assumptions.append(note)
                 forced_zero.add(j)
                 changed = True
             else:
@@ -295,7 +310,9 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
 # ---------------------------------------------------------------------------
 
 
-def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
+def linear_solve(
+    columns: Iterable[Expr], point: Optional[Dict[sy.Sym, Fraction]] = None
+) -> NullspaceResult:
     """Nullspace of  sum_j c_j * columns[j] = 0  over the parameter fraction field.
 
     Every term of a column is (parameter monomial) * (coordinate monomial) *
@@ -305,26 +322,62 @@ def linear_solve(columns: Sequence[Expr]) -> NullspaceResult:
     powers of the common kernel R down to the lowest stratum present, so that
     equal functions of the coordinates share a row.  Polynomial rows come
     first, then radical rows, each in order of first appearance: `nullspace`
-    breaks pivot ties by row index.
+    breaks pivot ties by row index.  The columns are read one at a time, and
+    each polynomial part is split on arrival; only the radical parts wait for
+    the kernel.
+
+    With `point`, which binds every parameter of the columns to a rational,
+    each entry is the value there, summed per row and column: an entry that
+    vanishes is dropped, and so is a row left with none.
     """
-    kernel = common_kernel(*columns)
-    k_min = min((k for col in columns for _m, k in col.terms if k), default=0)
     poly_rows: Dict[int, Row] = {}  # keyed by the coordinate part of the monomial
-    radical_rows: Dict[int, Row] = {}
+    radical_cols: List[Tuple[int, Expr]] = []
     keys: Dict[int, TermKey] = {}  # one entry key per parameter monomial
+    values: Dict[int, Coeff] = {}  # the value of each parameter monomial at the point
     param = KIND_MASKS[sy.K_PARAM]
-    for j, col in enumerate(columns):
-        for k, part in col.strata().items() if col.radicand is not None else ((0, col),):
-            rows = poly_rows
-            if k:
-                rows = radical_rows
-                for _ in range((k - k_min) // 2):
-                    part = part * kernel
+    one = (MONE, 0)
+
+    def split(rows: Dict[int, Row], j: int, part: Expr) -> None:
+        if point is None:
             for (m, _k), c in part.terms.items():
                 par = m & param
                 key = keys.get(par) or keys.setdefault(par, (Monomial(par), 0))
                 rows.setdefault(m ^ par, {}).setdefault(j, {})[key] = c
-    return nullspace([*poly_rows.values(), *radical_rows.values()], len(columns))
+            return
+        at_point: Dict[int, Coeff] = {}
+        for (m, _k), c in part.terms.items():
+            par = m & param
+            if par:
+                value = values.get(par)
+                if value is None:
+                    value = values[par] = _q(math.prod(
+                        Fraction(point[s]) ** e for s, e in Monomial(par).powers
+                    ))
+                c = value * c
+                if not c:
+                    continue
+            _accumulate(at_point, m ^ par, c)
+        for m, c in at_point.items():
+            rows.setdefault(m, {})[j] = {one: c}
+
+    ncols = 0
+    for j, col in enumerate(columns):
+        ncols += 1
+        if col.has_radical():
+            radical_cols.append((j, col))
+            col = col.strata().get(0, ZERO)
+        split(poly_rows, j, col)
+        del col  # not alive while the next column is built
+    kernel = common_kernel(*(col for _j, col in radical_cols))
+    k_min = min((k for _j, col in radical_cols for _m, k in col.terms if k), default=0)
+    radical_rows: Dict[int, Row] = {}
+    for j, col in radical_cols:
+        for k, part in col.strata().items():
+            if k:
+                for _ in range((k - k_min) // 2):
+                    part = part * kernel
+                split(radical_rows, j, part)
+    return nullspace([*poly_rows.values(), *radical_rows.values()], ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,8 @@ COMMAND_INPUT_ERRORS = {
         ["normalize", "1", "2"],
         "error: normalize needs three coefficients or --two\n",
     ),
-    # an exponent beyond the range of a monomial slot, written or reached by a product
+    # an exponent beyond the range of a monomial slot, written or reached by a
+    # product: in the input, or inside F'[q] for an exponent in range
     "verify-exponent-range": (
         ["verify", "--", "u^3000000000"],
         "error: exponent 3000000000 is out of range: |n| must be at most 2147483647 "
@@ -124,7 +125,11 @@ COMMAND_INPUT_ERRORS = {
     ),
     "verify-exponent-overflow": (
         ["verify", "--", "u^2000000000*u^2000000000"],
-        "error: exponent of u out of range: |n| must be at most 2147483647\n",
+        "error: an intermediate exponent of u overflowed: |n| must be at most 2147483647\n",
+    ),
+    "verify-exponent-intermediate": (
+        ["verify", "--", "u^2147483647"],
+        "error: an intermediate exponent of u overflowed: |n| must be at most 2147483647\n",
     ),
     # the flow matrix of v3/2 has eigenvalues +-1/2
     "flow-half-eigenvalues": (

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from jetlie import expr as ex
+from jetlie import linsolve
 from jetlie import symbols as sy
 from jetlie.linsolve import (
+    _assumption,
     linear_solve,
     rational_rref,
     rational_solve,
@@ -147,3 +152,44 @@ def test_rational_nullspace_dim():
     assert len(ns) == 2
     for vec in ns:
         assert sum(a[0][j] * vec[j] for j in range(3)) == 0
+
+
+def _rows_handed_to_nullspace(cols, point, monkeypatch):
+    handed = []
+    nullspace = linsolve.nullspace
+
+    def capture(rows, ncols):
+        handed.append(rows)
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(linsolve, "nullspace", capture)
+    sol = linear_solve(iter(cols), point)
+    return handed[0], sol
+
+
+def test_entries_and_rows_that_vanish_at_the_point_are_dropped(monkeypatch):
+    # at alpha = 2*beta column 0 vanishes, and so does column 1's entry in row x
+    cols = [alpha * u - 2 * beta * u, alpha * x - 2 * beta * x + ux, x]
+    point = {sy.ALPHA: Fraction(2), sy.BETA: Fraction(1)}
+    one = (ex.MONE, 0)
+    rows, sol = _rows_handed_to_nullspace(cols, point, monkeypatch)
+    assert rows == [{1: {one: 1}}, {2: {one: 1}}]
+    assert (sol.basis, sol.assumptions, sol.rank) == ([[ex.ONE, ex.ZERO, ex.ZERO]], [], 2)
+    # the same columns built at the point
+    at_point = [col.substitute({sy.ALPHA: ex.constant(2), sy.BETA: ex.ONE}) for col in cols]
+    assert linear_solve(at_point) == sol
+    # off the line every entry stays
+    rows, sol = _rows_handed_to_nullspace(cols, {sy.ALPHA: Fraction(1, 3), sy.BETA: Fraction(1)}, monkeypatch)
+    assert rows == [{0: {one: Fraction(-5, 3)}}, {1: {one: Fraction(-5, 3)}, 2: {one: 1}}, {1: {one: 1}}]
+    assert sol.basis == []
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.fractions().filter(lambda c: c != 0),
+    st.integers(0, 6),
+    st.integers(0, 6),
+)
+def test_a_one_term_parameter_monomial_gives_no_assumption(c, a, b):
+    entry = ex.Expr({(ex.monomial([(sy.ALPHA, a), (sy.BETA, b)]), 0): ex._q(c)}, None)
+    assert _assumption(entry) is None
