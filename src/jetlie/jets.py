@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Union
 
 from . import symbols as sy
-from .expr import ONE, Expr, ExprError, as_expr, sum_of_products, symbol
+from .expr import ONE, Expr, as_expr, sum_of_products, symbol
 
 DEFAULT_MAX_ORDER = 12
 
@@ -35,8 +35,12 @@ class JetOrderError(ValueError):
 
 
 class Equation:
-    """u_xt = rhs, with rhs polynomial in u and pure x-derivatives.  `point` maps
-    each parameter that was given a rational value to that value."""
+    """u_xt = rhs, with rhs polynomial in u and pure x-derivatives.
+
+    `point` maps each parameter that `expand_equation` was given as an int or
+    a Fraction to that value; `engine.ansatz_solve` reads it to specialize the
+    generic equation's columns there.  An equation built from its right side
+    alone has no point."""
 
     __slots__ = ("rhs", "point")
 
@@ -60,11 +64,10 @@ def expand_equation(alpha: Union[Expr, Fraction, int] = None,
     u3 = symbol(sy.U) ** 3
     rhs = a * symbol(sy.U) + b.scale(Fraction(1, 3)) * free_total_dx(free_total_dx(u3))
     point = {}
-    for s, value in ((sy.ALPHA, a), (sy.BETA, b)):
-        try:
-            point[s] = value.as_fraction()
-        except ExprError:  # a symbol, or an expression that is no rational constant
-            pass
+    if alpha is not None and not isinstance(alpha, Expr):
+        point[sy.ALPHA] = alpha
+    if beta is not None and not isinstance(beta, Expr):
+        point[sy.BETA] = beta
     return Equation(rhs=rhs, point=point)
 
 

@@ -334,10 +334,12 @@ def linear_solve(
     radical_cols: List[Tuple[int, Expr]] = []
     keys: Dict[int, TermKey] = {}  # one entry key per parameter monomial
     values: Dict[int, Coeff] = {}  # the value of each parameter monomial at the point
-    param = KIND_MASKS[sy.K_PARAM]
+    # c * value per (parameter monomial, c): a scan pass has about 1,700 of its 13,000 terms
+    products: Dict[Tuple[int, Coeff], Coeff] = {}
     one = (MONE, 0)
 
     def split(rows: Dict[int, Row], j: int, part: Expr) -> None:
+        param = KIND_MASKS[sy.K_PARAM]  # read late: a column may bring a new parameter
         if point is None:
             for (m, _k), c in part.terms.items():
                 par = m & param
@@ -348,14 +350,17 @@ def linear_solve(
         for (m, _k), c in part.terms.items():
             par = m & param
             if par:
-                value = values.get(par)
-                if value is None:
-                    value = values[par] = _q(math.prod(
-                        Fraction(point[s]) ** e for s, e in Monomial(par).powers
-                    ))
-                c = value * c
-                if not c:
+                product = products.get((par, c))
+                if product is None:
+                    value = values.get(par)
+                    if value is None:
+                        value = values[par] = math.prod(
+                            point[s] ** e for s, e in Monomial(par).powers
+                        )
+                    product = products[par, c] = _q(value * c)
+                if not product:
                     continue
+                c = product
             _accumulate(at_point, m ^ par, c)
         for m, c in at_point.items():
             rows.setdefault(m, {})[j] = {one: c}

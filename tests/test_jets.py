@@ -30,6 +30,7 @@ F_SYMBOLIC = alpha * u + 2 * beta * u * ux ** 2 + beta * u ** 2 * uxx
 def test_expand_equation_symbolic():
     eq = expand_equation()
     assert eq.rhs == F_SYMBOLIC
+    assert eq.point == {}
 
 
 def test_expand_equation_oracle():
@@ -45,11 +46,13 @@ def test_expand_equation_oracle():
 def test_expand_equation_special_case():
     eq = expand_equation(1, Fraction(1, 2))
     assert eq.rhs == u + u * ux ** 2 + u ** 2 * uxx.scale(Fraction(1, 2))
+    assert eq.point == {sy.ALPHA: 1, sy.BETA: Fraction(1, 2)}
 
 
 def test_expand_equation_linear_case():
     eq = expand_equation(None, 0)
     assert eq.rhs == alpha * u
+    assert eq.point == {sy.BETA: 0}
 
 
 def test_equation_rejects_t_derivatives():
