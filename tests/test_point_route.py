@@ -86,8 +86,8 @@ def test_ansatz_solve_at_a_point_matches_the_point_manifold(point, basis):
     assert result.dependent_directions == dependent
 
 
-def test_the_point_route_sees_a_vanishing_entry():
-    """The strategy's lines reach entries that vanish: 1 + u_x^2 at alpha = 2*beta."""
+def test_a_sum_of_the_strategy_has_entries_that_vanish_on_a_line():
+    """1 + u_x^2 loses a coordinate monomial of its residual at alpha = 2*beta."""
     q = ex.ONE + _UX ** 2
     generic = residual(Manifold(), q).value
     at_point = residual(Manifold(expand_equation(Fraction(2), Fraction(1))), q).value
