@@ -334,7 +334,8 @@ def linear_solve(
     radical_cols: List[Tuple[int, Expr]] = []
     keys: Dict[int, TermKey] = {}  # one entry key per parameter monomial
     values: Dict[int, Coeff] = {}  # the value of each parameter monomial at the point
-    # c * value per (parameter monomial, c): about 1,700 distinct pairs in the 13,000 terms of a scan pass
+    # c * value per (parameter monomial, c): about 1,700 distinct pairs
+    # in the 13,000 terms of a scan pass
     products: Dict[Tuple[int, Coeff], Coeff] = {}
     one = (MONE, 0)
 

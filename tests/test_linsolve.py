@@ -179,8 +179,10 @@ def test_entries_and_rows_that_vanish_at_the_point_are_dropped(monkeypatch):
     at_point = [col.substitute({sy.ALPHA: ex.constant(2), sy.BETA: ex.ONE}) for col in cols]
     assert linear_solve(at_point) == sol
     # off the line every entry stays
-    rows, sol = _rows_handed_to_nullspace(cols, {sy.ALPHA: Fraction(1, 3), sy.BETA: Fraction(1)}, monkeypatch)
-    assert rows == [{0: {one: Fraction(-5, 3)}}, {1: {one: Fraction(-5, 3)}, 2: {one: 1}}, {1: {one: 1}}]
+    off_line = {sy.ALPHA: Fraction(1, 3), sy.BETA: Fraction(1)}
+    rows, sol = _rows_handed_to_nullspace(cols, off_line, monkeypatch)
+    third = Fraction(-5, 3)
+    assert rows == [{0: {one: third}}, {1: {one: third}, 2: {one: 1}}, {1: {one: 1}}]
     assert sol.basis == []
 
 

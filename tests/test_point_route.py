@@ -47,7 +47,9 @@ def with_rows(solve, *args):
         out = solve(*args)
     finally:
         linsolve.nullspace = nullspace
-    return out, Counter(frozenset((j, frozenset(e.items())) for j, e in row.items()) for row in handed)
+    return out, Counter(
+        frozenset((j, frozenset(e.items())) for j, e in row.items()) for row in handed
+    )
 
 
 def reference_solve(man, basis):
