@@ -39,14 +39,15 @@ class Equation:
 
     `point` maps each parameter that `expand_equation` was given as an int or
     a Fraction to that value; `engine.ansatz_solve` reads it to specialize the
-    generic equation's columns there.  An equation built from its right side
+    generic equation's columns there.  Only `expand_equation` sets it, so a
+    point always agrees with its rhs; an equation built from its right side
     alone has no point."""
 
     __slots__ = ("rhs", "point")
 
-    def __init__(self, rhs: Expr, point: Optional[Dict[sy.Sym, Fraction]] = None):
+    def __init__(self, rhs: Expr):
         self.rhs = rhs
-        self.point = point or {}
+        self.point: Dict[sy.Sym, Fraction] = {}
         for s in rhs.free_symbols():
             if s.kind == sy.K_JET:
                 i, j = s.jet_orders
@@ -63,12 +64,12 @@ def expand_equation(alpha: Union[Expr, Fraction, int] = None,
     b = symbol(sy.BETA) if beta is None else as_expr(beta)
     u3 = symbol(sy.U) ** 3
     rhs = a * symbol(sy.U) + b.scale(Fraction(1, 3)) * free_total_dx(free_total_dx(u3))
-    point = {}
+    eq = Equation(rhs=rhs)
     if alpha is not None and not isinstance(alpha, Expr):
-        point[sy.ALPHA] = alpha
+        eq.point[sy.ALPHA] = alpha
     if beta is not None and not isinstance(beta, Expr):
-        point[sy.BETA] = beta
-    return Equation(rhs=rhs, point=point)
+        eq.point[sy.BETA] = beta
+    return eq
 
 
 def _rate(s: sy.Sym, direction: int, produce):

@@ -1,0 +1,20 @@
+"""Capture what `linear_solve` hands `nullspace`, for tests that compare rows."""
+
+from jetlie import linsolve
+
+
+def with_rows(solve, *args):
+    """solve(*args), and the rows that `linear_solve` handed `nullspace`, in order."""
+    handed = []
+    nullspace = linsolve.nullspace
+
+    def capture(rows, ncols):
+        handed.extend(rows)
+        return nullspace(rows, ncols)
+
+    linsolve.nullspace = capture
+    try:
+        out = solve(*args)
+    finally:
+        linsolve.nullspace = nullspace
+    return out, handed

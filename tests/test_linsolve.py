@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlie import expr as ex
-from jetlie import linsolve
 from jetlie import symbols as sy
 from jetlie.linsolve import (
     _assumption,
@@ -13,6 +12,7 @@ from jetlie.linsolve import (
     rational_rref,
     rational_solve,
 )
+from nullspace_capture import with_rows
 
 alpha = ex.symbol(sy.ALPHA)
 beta = ex.symbol(sy.BETA)
@@ -154,25 +154,12 @@ def test_rational_nullspace_dim():
         assert sum(a[0][j] * vec[j] for j in range(3)) == 0
 
 
-def _rows_handed_to_nullspace(cols, point, monkeypatch):
-    handed = []
-    nullspace = linsolve.nullspace
-
-    def capture(rows, ncols):
-        handed.append(rows)
-        return nullspace(rows, ncols)
-
-    monkeypatch.setattr(linsolve, "nullspace", capture)
-    sol = linear_solve(iter(cols), point)
-    return handed[0], sol
-
-
-def test_entries_and_rows_that_vanish_at_the_point_are_dropped(monkeypatch):
+def test_entries_and_rows_that_vanish_at_the_point_are_dropped():
     # at alpha = 2*beta column 0 vanishes, and so does column 1's entry in row x
     cols = [alpha * u - 2 * beta * u, alpha * x - 2 * beta * x + ux, x]
     point = {sy.ALPHA: Fraction(2), sy.BETA: Fraction(1)}
     one = (ex.MONE, 0)
-    rows, sol = _rows_handed_to_nullspace(cols, point, monkeypatch)
+    sol, rows = with_rows(linear_solve, iter(cols), point)
     assert rows == [{1: {one: 1}}, {2: {one: 1}}]
     assert (sol.basis, sol.assumptions, sol.rank) == ([[ex.ONE, ex.ZERO, ex.ZERO]], [], 2)
     # the same columns built at the point
@@ -180,7 +167,7 @@ def test_entries_and_rows_that_vanish_at_the_point_are_dropped(monkeypatch):
     assert linear_solve(at_point) == sol
     # off the line every entry stays
     off_line = {sy.ALPHA: Fraction(1, 3), sy.BETA: Fraction(1)}
-    rows, sol = _rows_handed_to_nullspace(cols, off_line, monkeypatch)
+    sol, rows = with_rows(linear_solve, iter(cols), off_line)
     third = Fraction(-5, 3)
     assert rows == [{0: {one: third}}, {1: {one: third}, 2: {one: 1}}, {1: {one: 1}}]
     assert sol.basis == []
