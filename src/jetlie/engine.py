@@ -238,11 +238,13 @@ def ansatz_solve(man: Manifold, basis: Sequence[Expr]) -> AnsatzResult:
     each radical-free element is built on the generic equation, whose
     coefficients are integers, and `linear_solve` evaluates it at the point.
     The Fractions of the point then never pass through a total derivative.
-    Radical columns and every other case are built on `man`.  The order of the
-    rows that this changes cannot reach the report: at a full point every entry
-    is a rational constant, so `nullspace` adds no assumption, and
-    `_reduce_solutions` ends in the unique rref over basis coordinates, which
-    depends only on the solution space.
+    Radical columns and every other case are built on `man`; at an integral
+    point `man`'s coefficients are ints too, and its columns, with fewer terms
+    than the generic ones and nothing to evaluate, were measured faster.  The
+    order of the rows that this changes cannot reach the report: at a full
+    point every entry is a rational constant, so `nullspace` adds no
+    assumption, and `_reduce_solutions` ends in the unique rref over basis
+    coordinates, which depends only on the solution space.
     """
     basis = [as_expr(b) for b in basis]
     symbols = set()

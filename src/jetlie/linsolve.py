@@ -10,10 +10,12 @@ Given a rational point (alpha, beta), `linear_solve` evaluates each parameter
 monomial there while it splits, and drops the entries and rows that vanish.
 `engine.ansatz_solve` takes this route when both parameters are rational and
 one is not an integer: its radical-free columns are then built on the generic
-equation, whose coefficients are integers.  At such a full point the row
-order cannot reach a report, unlike at `sym`, where it orders the
-assumptions: every entry is a rational constant, so `nullspace` adds no
-assumption, and the solution space it spans does not depend on the order.
+equation, whose coefficients are integers.  At an integral point the point's
+own coefficients are integers as well, and building there is faster.  At a
+full point the row order cannot reach a report, unlike at `sym`, where it
+orders the assumptions: every entry is a rational constant, so `nullspace`
+adds no assumption, and the solution space it spans does not depend on the
+order.
 
 The homogeneous solver `nullspace` works over the fraction field of
 polynomials in the equation parameters without ever forming fractions
