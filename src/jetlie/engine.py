@@ -4,12 +4,12 @@ A candidate characteristic Q is a symmetry iff
 
     D_x D_t Q  -  sum_sigma (dF/du_sigma) D_sigma Q  =  0
 
-identically on the reduced jet space.  The engine computes that residual
-exactly, generates determining systems for an opaque Q, solves finite
-ansatz families through the exact nullspace machinery, and counts what a
-bounded scan finds beyond the already-classified symmetries.  Every
-characteristic the solver reports is re-verified by an independent residual
-computation before it is returned.
+identically on the reduced jet space, in whose coordinates Q is written; a
+mixed jet in Q is rejected.  The engine computes that residual exactly,
+solves finite ansatz families through the exact nullspace machinery, and
+counts what a bounded scan finds beyond the already-classified symmetries.
+Every characteristic the solver reports is re-verified by an independent
+residual computation before it is returned.
 """
 
 from __future__ import annotations
@@ -63,8 +63,18 @@ def frechet_derivative(man: Manifold, q: Expr) -> Expr:
 def residual(man: Manifold, q: Expr) -> ResidualReport:
     """D_x D_t q - F'[q].  Its dict order orders the rows and so the assumptions: the
     total derivatives and F'[q] keep the dict order of their `Expr` operator chains
-    (`sum_of_products`), and the difference is one `-`."""
-    order = q.max_jet_order()
+    (`sum_of_products`), and the difference is one `-`.  A mixed jet in q is no
+    coordinate of the manifold, so it is rejected."""
+    order = 0
+    for s in sorted(q.free_symbols()):  # sorted: the lowest mixed jet is named
+        if s.kind == sy.K_JET:
+            i, j = s.jet_orders
+            if i and j:
+                raise EngineError(
+                    f"{s.pretty()} is a mixed derivative, not a coordinate of the solution "
+                    "manifold; write the characteristic in x, t, u, u[i,0] and u[0,j]"
+                )
+            order = max(order, i + j)
     if order > man.max_order - 2:
         raise EngineError(
             f"characteristic order {order} exceeds max_order - 2 = {man.max_order - 2}"
@@ -120,97 +130,6 @@ def spot_check(value: Expr, claims_zero: bool, points: int, rng: random.Random) 
         return SpotCheck(points=points, agrees=agrees, witness=witness)
     agrees = found_nonzero is not None
     return SpotCheck(points=points, agrees=agrees, witness=None)
-
-
-# ---------------------------------------------------------------------------
-# determining systems for an opaque characteristic
-# ---------------------------------------------------------------------------
-
-
-class DeterminingSystem(NamedTuple):
-    arity: Tuple[sy.Sym, ...]
-    collected_by: Tuple[sy.Sym, ...]
-    equations: List[Expr]
-    raw_coefficients: List[Expr]
-
-    def contains(self, equation: Expr) -> bool:
-        prim = equation.primitive()
-        return any(eq == prim or eq == (-equation).primitive() for eq in self.equations)
-
-
-def opaque_q(arity: Sequence[sy.Sym], multi: Optional[Sequence[int]] = None) -> Expr:
-    arity = tuple(arity)
-    if multi is None:
-        multi = (0,) * len(arity)
-    return symbol(sy.opaque("Q", arity, tuple(multi)))
-
-
-def _parameter_strata(e: Expr, params: Tuple[sy.Sym, ...]) -> List[Expr]:
-    groups = e.collect(lambda s: s in params)
-    return [coeff * Expr({(mono, 0): 1}, None) for mono, coeff in groups.items()]
-
-
-def _single_opaque_collapse(e: Expr) -> Expr:
-    ops = set()
-    for (m, _k) in e.terms:
-        hits = [s for s in m.symbols() if s.kind == sy.K_OPAQUE]
-        if len(hits) != 1:
-            return e
-        ops.add(hits[0])
-    if len(ops) == 1:
-        return symbol(ops.pop())
-    return e
-
-
-def determining_system(
-    man: Manifold,
-    arity: Sequence[sy.Sym],
-    collect_in: Sequence[sy.Sym],
-) -> DeterminingSystem:
-    """Coefficient equations of the residual for an opaque Q(arity).
-
-    The residual is collected as a polynomial in `collect_in`; each raw
-    coefficient is then further stratified by the equation parameters (valid
-    because the opaque Q carries no parameter dependence), every stratum is
-    content-normalized, and equations whose terms all share one opaque
-    derivative collapse to that derivative.  All granularities are reported,
-    deduplicated, coarsest alongside finest.
-    """
-    arity = tuple(arity)
-    collect_in = tuple(collect_in)
-    overlap = [s for s in collect_in if s in arity]
-    if overlap:
-        raise EngineError(
-            "collect_in symbols appear in the opaque arity: "
-            + ", ".join(s.pretty() for s in overlap)
-        )
-    res = residual(man, opaque_q(arity))
-    collect_set = set(collect_in)
-    groups = res.value.collect(lambda s: s in collect_set)
-    raw = [coeff for _mono, coeff in sorted(groups.items(), key=lambda kv: str(kv[0]))]
-    raw = [c for c in raw if not c.is_zero()]
-
-    params = (sy.ALPHA, sy.BETA)
-    subsets = [(), (sy.ALPHA,), (sy.BETA,), params]
-    equations: List[Expr] = []
-    seen = set()
-    for coeff in raw:
-        for subset in subsets:
-            for stratum in _parameter_strata(coeff, subset):
-                eq = _single_opaque_collapse(stratum.primitive())
-                eq = eq.primitive()
-                if eq.is_zero():
-                    continue
-                if eq not in seen:
-                    seen.add(eq)
-                    equations.append(eq)
-    equations.sort(key=lambda e: (len(e.terms), pretty(e)))
-    return DeterminingSystem(
-        arity=arity,
-        collected_by=collect_in,
-        equations=equations,
-        raw_coefficients=raw,
-    )
 
 
 # ---------------------------------------------------------------------------

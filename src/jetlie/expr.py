@@ -32,8 +32,7 @@ may order or print by them: `grlex_key` sorts by the symbols themselves, and
 A coefficient is an `int` when it is integral and otherwise a
 `fractions.Fraction` with denominator > 1; `_q` maps a result into that
 domain, and every division goes through `Fraction`.  `as_fraction` and
-exact `eval_at` return `Fraction`s.  Nothing here ever touches floating
-point except the explicitly-floating evaluation mode.
+`eval_at` return `Fraction`s, and no value here is ever a `float`.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .symbols import K_CONST, K_EXP, K_JET, K_OPAQUE, Sym, allows_negative_power
+from .symbols import K_CONST, K_EXP, K_JET, Sym, allows_negative_power
 
 Coeff = Union[int, Fraction]
 QZERO = Fraction(0)
@@ -577,11 +576,6 @@ class Expr:
     # -- calculus ----------------------------------------------------------------
 
     def diff(self, s: Sym) -> "Expr":
-        if s.kind == K_OPAQUE:
-            raise ExprError("cannot differentiate with respect to an opaque symbol")
-        return self.diff_atom(s)
-
-    def diff_atom(self, s: Sym) -> "Expr":
         """Partial derivative treating every symbol as an independent atom."""
         acc: Dict[TermKey, Coeff] = {}
         rad_diff = None
@@ -638,36 +632,25 @@ class Expr:
 
     # -- evaluation ------------------------------------------------------------------
 
-    def eval_at(self, point: Dict[Sym, Fraction], floating: bool = False):
+    def eval_at(self, point: Dict[Sym, Fraction]) -> Fraction:
         missing = [s for s in self.free_symbols() if s not in point]
         if missing:
             raise ExprError(
                 "unbound symbols: " + ", ".join(s.pretty() for s in sorted(missing))
             )
-        rad_val = None
+        sqrt_val = None
         if self.has_radical():
-            rad_val = self.radicand.eval_at(point, floating=floating)
-            if floating:
-                rad_val = float(rad_val)
-                if rad_val < 0:
-                    raise ExprError("negative radicand")
-                sqrt_val = math.sqrt(rad_val)
-            else:
-                rad_val = Fraction(rad_val)
-                if rad_val < 0:
-                    raise ExprError("negative radicand in exact evaluation")
-                sqrt_val = _exact_sqrt(rad_val)
-                if sqrt_val is None:
-                    raise ExprError(
-                        "radicand is not a perfect rational square; "
-                        "use floating evaluation"
-                    )
-        total = 0.0 if floating else QZERO
+            rad_val = Fraction(self.radicand.eval_at(point))
+            if rad_val < 0:
+                raise ExprError("negative radicand")
+            sqrt_val = _exact_sqrt(rad_val)
+            if sqrt_val is None:
+                raise ExprError("radicand is not a perfect rational square")
+        total = QZERO
         for (m, k), c in self.terms.items():
-            v = float(c) if floating else c
+            v = c
             for s, e in m.powers:
-                base = float(point[s]) if floating else Fraction(point[s])
-                v *= base ** e
+                v *= Fraction(point[s]) ** e
             if k != 0:
                 if sqrt_val == 0 and k < 0:
                     raise ExprError("radical kernel vanishes at the point")
@@ -695,7 +678,7 @@ class Expr:
         return self.collect(selector).get(key, ZERO)
 
     def content(self) -> Tuple[Coeff, Monomial]:
-        """Rational and monomial content over all non-opaque, non-constant symbols."""
+        """Rational and monomial content over all symbols but unknown constants."""
         if not self.terms:
             return QONE, MONE
         num = 0
@@ -709,7 +692,7 @@ class Expr:
             cur = {
                 s: e
                 for s, e in m.powers
-                if s.kind not in (K_CONST, K_OPAQUE) and e > 0
+                if s.kind != K_CONST and e > 0
             }
             if shared is None:
                 shared = cur

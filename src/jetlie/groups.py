@@ -239,32 +239,26 @@ def _shift_w(e: Expr) -> Expr:
     total = ZERO
     for s in sorted(e.free_symbols()):
         if s.kind == sy.K_ODE and s.data[0] == "w":
-            total = total + e.diff_atom(s) * _w(s.data[1] + 1)
+            total = total + e.diff(s) * _w(s.data[1] + 1)
     return total
 
 
-def _traveling_images(man: Manifold, cx: Expr, ct: Expr) -> Dict[sy.Sym, Expr]:
-    """Jet images for u = w(z), z with z_x = cx, z_t = ct, by recursion."""
-    images: Dict[Tuple[int, int], Expr] = {(0, 0): _w(0)}
+def _equation_jets(man: Manifold) -> set:
+    """u_xt and the jets of the equation's right side."""
+    return {sy.jet(1, 1)} | {s for s in man.rhs.free_symbols() if s.kind == sy.K_JET}
+
+
+def _jet_images(man: Manifold, base: Expr, dx, dt) -> Dict[sy.Sym, Expr]:
+    """Images of `_equation_jets` under u -> base, by recursion:
+    u_(i+1,j) -> dx(image of u_(i,j)) and u_(0,j+1) -> dt(image of u_(0,j))."""
+    images: Dict[Tuple[int, int], Expr] = {(0, 0): base}
 
     def image(i, j):
         if (i, j) not in images:
-            if i > 0:
-                prev = image(i - 1, j)
-                images[(i, j)] = cx * _shift_w(prev)
-            else:
-                prev = image(0, j - 1)
-                images[(0, j)] = ct * _shift_w(prev)
+            images[(i, j)] = dx(image(i - 1, j)) if i > 0 else dt(image(0, j - 1))
         return images[(i, j)]
 
-    out = {}
-    needed = {sy.jet(1, 1)} | {
-        s for s in man.rhs.free_symbols() if s.kind == sy.K_JET
-    }
-    for s in needed:
-        i, j = s.jet_orders
-        out[s] = image(i, j)
-    return out
+    return {s: image(*s.jet_orders) for s in _equation_jets(man)}
 
 
 def _delta_image(man: Manifold, bindings: Dict[sy.Sym, Expr]) -> Tuple[Expr, Expr]:
@@ -308,17 +302,16 @@ def _reduce_traveling(
 ) -> ReducedODE:
     # direct substitution route: u_(i,j) -> cx^i ct^j w_(i+j)
     bindings = {}
-    needed = {sy.jet(1, 1)} | {
-        s for s in man.rhs.free_symbols() if s.kind == sy.K_JET
-    }
-    for s in needed:
+    for s in _equation_jets(man):
         i, j = s.jet_orders
         bindings[s] = (cx ** i) * (ct ** j) * _w(i + j)
     lhs, rhs = _delta_image(man, bindings)
     ode = lhs - rhs
 
     # independent chain-rule route through the similarity form
-    oracle = _traveling_images(man, cx, ct)
+    oracle = _jet_images(
+        man, _w(0), lambda e: cx * _shift_w(e), lambda e: ct * _shift_w(e)
+    )
     lhs2, rhs2 = _delta_image(man, oracle)
     if (lhs2 - rhs2) != ode:
         raise FlowError("back-substitution check failed for the reduction")
@@ -356,25 +349,7 @@ def _reduce_scaling(man: Manifold, weight: int) -> ReducedODE:
     def dt(e: Expr) -> Expr:
         return e.diff(sy.T) + symbol(sy.X) * _shift_w(e)
 
-    images: Dict[Tuple[int, int], Expr] = {}
-
-    def image(i, j):
-        if (i, j) not in images:
-            if (i, j) == (0, 0):
-                images[(i, j)] = base
-            elif i > 0:
-                images[(i, j)] = dx(image(i - 1, j))
-            else:
-                images[(i, j)] = dt(image(0, j - 1))
-        return images[(i, j)]
-
-    bindings = {}
-    needed = {sy.jet(1, 1)} | {
-        s for s in man.rhs.free_symbols() if s.kind == sy.K_JET
-    }
-    for s in needed:
-        i, j = s.jet_orders
-        bindings[s] = image(i, j)
+    bindings = _jet_images(man, base, dx, dt)
     lhs, rhs = _delta_image(man, bindings)
     delta_img = lhs - rhs
 

@@ -3,12 +3,12 @@
 Coordinates are x, t, u and the pure derivatives u_{x^i}, u_{t^j}; every
 mixed derivative is eliminated through the equation and its differential
 consequences u_{x^i t^j} = D_x^{i-1} D_t^{j-1} F, memoized per manifold.
-Total derivatives come in two flavours: `total_dx`/`total_dt` act on the
-solution manifold (mixed coordinates are reduced away), while the `free_`
-variants act on the full jet space and are what off-manifold checks use.
+`Manifold.total_dx`/`total_dt` act on the solution manifold (mixed
+coordinates are reduced away), while `free_total_dx` acts on the full jet
+space, where `expand_equation` expands (u^3)_xx.
 
 D(e) = sum of (de/ds) * D(s) over the symbols s of e, in order, equals the chain
-`total + e.diff_atom(s) * rate` in value and dict order, which orders residual terms,
+`total + e.diff(s) * rate` in value and dict order, which orders residual terms,
 rows and assumptions: `sum_of_products` adds radical-free products into one dict in
 the order of `*` and `+`, and keeps the chain for radicals.  Rates are memoized:
 never write into them.
@@ -84,18 +84,6 @@ def _rate(s: sy.Sym, direction: int, produce):
     if s.kind == sy.K_JET:
         i, j = s.jet_orders
         return produce(i + (1 - direction), j + direction)
-    if s.kind == sy.K_OPAQUE:
-        func, args, multi = s.data
-        total = None
-        for idx, arg in enumerate(args):
-            rate = _rate(arg, direction, produce)
-            if rate is None or rate.is_zero():
-                continue
-            bumped = list(multi)
-            bumped[idx] += 1
-            piece = symbol(sy.opaque(func, args, tuple(bumped))) * rate
-            total = piece if total is None else total + piece
-        return total
     return None
 
 
@@ -105,15 +93,11 @@ def _total_derivative(e: Expr, direction: int, produce) -> Expr:
         rate = _rate(s, direction, produce)
         if rate is not None and not rate.is_zero():
             rates.append((s, rate))
-    return sum_of_products([(e.diff_atom(s), rate) for s, rate in rates])
+    return sum_of_products([(e.diff(s), rate) for s, rate in rates])
 
 
 def free_total_dx(e: Expr, max_order: int = DEFAULT_MAX_ORDER) -> Expr:
     return _total_derivative(e, 0, _free_producer(max_order))
-
-
-def free_total_dt(e: Expr, max_order: int = DEFAULT_MAX_ORDER) -> Expr:
-    return _total_derivative(e, 1, _free_producer(max_order))
 
 
 def _free_producer(max_order: int):

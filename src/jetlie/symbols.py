@@ -1,10 +1,10 @@
 """Symbol identities for the expression kernel.
 
-Every coordinate, parameter, unknown constant, opaque-function derivative
-and auxiliary quantity is a `Sym`, the tuple `(kind, data)`.  Symbols are
-immutable, hashable and totally ordered; hashing, equality and the order
-are those of the tuple, and the order fixes the canonical monomial ordering
-used everywhere else.
+Every coordinate, parameter, unknown constant and auxiliary quantity is a
+`Sym`, the tuple `(kind, data)`.  Symbols are immutable, hashable and
+totally ordered; hashing, equality and the order are those of the tuple, so
+a symbol is its own sort key, and the order fixes the canonical monomial
+ordering used everywhere else.  The kind tags are contiguous from 0.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ K_VAR = 0  # independent variables x, t
 K_JET = 1  # derivative coordinates u_{x^i t^j}
 K_PARAM = 2  # equation parameters (printed a/b, pretty alpha/beta)
 K_CONST = 3  # unknown or free constants (c1.., family parameters)
-K_OPAQUE = 4  # partial derivatives of an opaque function symbol
-K_ODE = 5  # reduced-ODE variables z, w, w', ...
-K_EPS = 6  # group parameters
-K_EXP = 7  # exp(group parameter); the only kind allowed negative exponents
+K_ODE = 4  # reduced-ODE variables z, w, w', ...
+K_EPS = 5  # group parameters
+K_EXP = 6  # exp(group parameter); the only kind allowed negative exponents
 
 
 class Sym(NamedTuple):
@@ -32,10 +31,6 @@ class Sym(NamedTuple):
 
     kind: int
     data: tuple
-
-    def sort_key(self):
-        """The symbol itself, which orders as the tuple (kind, data)."""
-        return self
 
     # -- structured accessors ------------------------------------------------
 
@@ -79,14 +74,6 @@ def _pretty_name(s: Sym) -> str:
         return {"a": "alpha", "b": "beta"}[s.data[0]]
     if s.kind == K_CONST:
         return s.data[0]
-    if s.kind == K_OPAQUE:
-        func, args, multi = s.data
-        if not any(multi):
-            return func
-        parts = []
-        for arg, count in zip(args, multi):
-            parts.extend([arg.pretty()] * count)
-        return func + "_{" + ",".join(parts) + "}"
     if s.kind == K_ODE:
         name, order = s.data
         if name == "z":
@@ -138,11 +125,6 @@ U = jet(0, 0)
 
 def const(name: str) -> Sym:
     return Sym(K_CONST, (name,))
-
-
-def opaque(func: str, args: Tuple[Sym, ...], multi: Tuple[int, ...]) -> Sym:
-    assert len(args) == len(multi) and all(m >= 0 for m in multi)
-    return Sym(K_OPAQUE, (func, tuple(args), tuple(multi)))
 
 
 def ode_w(order: int) -> Sym:

@@ -131,6 +131,18 @@ COMMAND_INPUT_ERRORS = {
         ["verify", "--", "u^2147483647"],
         "error: an intermediate exponent of u overflowed: |n| must be at most 2147483647\n",
     ),
+    # a mixed jet is no coordinate of the solution manifold, in a candidate or
+    # in a basis element
+    "verify-mixed": (
+        ["verify", "--", "u[1,1]"],
+        "error: u_xt is a mixed derivative, not a coordinate of the solution manifold; "
+        "write the characteristic in x, t, u, u[i,0] and u[0,j]\n",
+    ),
+    "solve-mixed": (
+        ["solve", "u[1,1],u[1,0]"],
+        "error: u_xt is a mixed derivative, not a coordinate of the solution manifold; "
+        "write the characteristic in x, t, u, u[i,0] and u[0,j]\n",
+    ),
     # the flow matrix of v3/2 has eigenvalues +-1/2
     "flow-half-eigenvalues": (
         ["flow", "--gen=0,0,1/2"],

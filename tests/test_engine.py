@@ -10,10 +10,8 @@ from jetlie import symbols as sy
 from jetlie.engine import (
     EngineError,
     ansatz_solve,
-    determining_system,
     jet_monomial_basis,
     new_dimension_count,
-    opaque_q,
     point_affine_basis,
     residual,
     spot_check,
@@ -27,7 +25,6 @@ u = ex.symbol(sy.U)
 ux = ex.symbol(sy.jet(1, 0))
 ut = ex.symbol(sy.jet(0, 1))
 uxx = ex.symbol(sy.jet(2, 0))
-alpha = ex.symbol(sy.ALPHA)
 beta = ex.symbol(sy.BETA)
 
 
@@ -92,53 +89,6 @@ def test_residual_leaves_cached_derivatives_and_its_input_alone():
                 assert _snapshot(entry) == snapshot
         assert len(cached) >= 5
         assert [_snapshot(q) for q in candidates] == inputs
-
-
-def test_determining_system_contains_reference_equations(man):
-    arity = (sy.X, sy.T, sy.U, sy.jet(1, 0), sy.jet(0, 1))
-    ds = determining_system(man, arity, (sy.jet(2, 0), sy.jet(0, 2)))
-
-    def d2(i, j):
-        multi = [0] * 5
-        multi[i] += 1
-        multi[j] += 1
-        return ex.symbol(sy.opaque("Q", arity, tuple(multi)))
-
-    # pure second-order equations
-    assert ds.contains(d2(3, 3))  # Q_{u_x,u_x}
-    assert ds.contains(d2(3, 4))  # Q_{u_x,u_t}
-    assert ds.contains(d2(4, 4))  # Q_{u_t,u_t}
-    # the mixed equation u_t Q_{u,u_x} + alpha u Q_{u_x,u_x} + Q_{t,u_x}
-    mixed = ut * d2(2, 3) + alpha * u * d2(3, 3) + d2(1, 3)
-    assert ds.contains(mixed)
-    # and its u_t-counterpart alpha u Q_{u_t,u_t} + u_x Q_{u,u_t} + Q_{x,u_t}
-    mixed_t = alpha * u * d2(4, 4) + ux * d2(2, 4) + d2(0, 4)
-    assert ds.contains(mixed_t)
-
-
-def test_determining_system_rejects_overlap(man):
-    with pytest.raises(EngineError):
-        determining_system(man, (sy.U, sy.jet(2, 0)), (sy.jet(2, 0),))
-
-
-def test_determining_system_linear_case_single_arity():
-    lin = Manifold(expand_equation(None, 0))
-    ds = determining_system(lin, (sy.U,), (sy.jet(1, 0), sy.jet(0, 1)))
-    # Q = lambda u solves the linear equation: residual of u must vanish
-    assert residual(lin, u).is_zero
-    # every generated equation must annihilate Q(u) = u, i.e. contain only
-    # derivatives of order >= 2 in u or mixed first derivatives
-    q_u = ex.symbol(sy.opaque("Q", (sy.U,), (1,)))
-    q = ex.symbol(sy.opaque("Q", (sy.U,), (0,)))
-    for eq in ds.equations:
-        # substituting Q -> u, Q_u -> 1, higher -> 0 must satisfy the system
-        subs = {sy.opaque("Q", (sy.U,), (0,)): u,
-                sy.opaque("Q", (sy.U,), (1,)): ex.ONE,
-                sy.opaque("Q", (sy.U,), (2,)): ex.ZERO,
-                sy.opaque("Q", (sy.U,), (3,)): ex.ZERO}
-        val = eq.substitute({s: subs.get(s, ex.ZERO) for s in eq.free_symbols()
-                             if s.kind == sy.K_OPAQUE})
-        assert val.is_zero()
 
 
 def test_ansatz_single_translation(man):

@@ -1,7 +1,9 @@
-"""Every name a `jetlie` module imports is used in that module, and a module
-imports a sibling below its top level only to break an import cycle."""
+"""Every name a `jetlie` module imports is used in that module, a module
+imports a sibling below its top level only to break an import cycle, and every
+function and method `jetlie` defines is named somewhere else in `jetlie`."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -117,3 +119,70 @@ def test_the_scan_keeps_a_cycle_breaking_local_import_only():
 def test_a_local_import_breaks_an_import_cycle():
     sources = {name[: -len(".py")]: (PACKAGE / name).read_text() for name in MODULES}
     assert needless_local_imports(sources) == []
+
+
+# definitions that only tests call, each with the test that calls it: the
+# cross-checks that reports are yet to run, and the inverse of `point_field_of`
+TEST_REFERENCES = {
+    "algebra.preserves_structure",  # test_algebra.py::test_adjoint_exp_is_automorphism
+    "algebra.AdjointMap.is_identity_at_zero",  # test_algebra.py::test_adjoint_exp_is_automorphism
+    "algebra.replay_steps",  # test_algebra.py::test_normalize_1d_witness_and_idempotence
+    "groups.transform_solution",  # test_groups.py::test_transform_solution_*
+    "groups.GroupElement.compose",  # test_groups.py::test_group_axioms
+    "groups.GroupElement.is_identity_at_zero",  # test_groups.py::test_flow_affine_shift
+    "fields.characteristic_of",  # test_fields.py::test_round_trip_point
+}
+
+
+def _names(node):
+    """How often each name is read or called, as a variable or an attribute, in `node`."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_definitions(sources):
+    """The top-level functions and the methods of top-level classes in `sources`
+    ({module: text}) whose name no code outside their own body uses; `main`
+    and dunder methods are called from outside."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            functions = [("", node)]
+            if isinstance(node, ast.ClassDef):
+                functions = [(f"{node.name}.", sub) for sub in node.body]
+            for prefix, fn in functions:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name == "main" or (fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                if used[fn.name] == _names(fn)[fn.name]:
+                    out.append(f"{module}.{prefix}{fn.name}")
+    return sorted(out)
+
+
+def test_the_scan_counts_a_use_outside_the_definition_only():
+    sources = {
+        "a": (
+            "def main():\n    return helper()\n"
+            "def helper():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "class K:\n"
+            "    def __eq__(self, other):\n        return self.used()\n"
+            "    def used(self):\n        return 0\n"
+            "    def unused(self):\n        return 0\n"
+        ),
+        "b": "from .a import K\ndef caller(k: K):\n    return k.used\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.K.unused", "a.recursive", "b.caller"]
+
+
+def test_every_definition_is_named_elsewhere_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    found = set(unreferenced_definitions(sources))
+    # nothing else goes unnamed, and a reference that gains a caller leaves the list
+    assert (sorted(found - TEST_REFERENCES), sorted(TEST_REFERENCES - found)) == ([], [])

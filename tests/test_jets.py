@@ -11,7 +11,6 @@ from jetlie.jets import (
     Manifold,
     expand_equation,
     free_total_dx,
-    free_total_dt,
 )
 
 x = ex.symbol(sy.X)
@@ -106,21 +105,6 @@ def test_total_dx_basics():
     assert man.total_dt(ux) == man.total_dx(ut)
 
 
-def test_total_dx_opaque_chain_rule():
-    man = Manifold()
-    args = (sy.X, sy.T, sy.U, sy.jet(1, 0), sy.jet(0, 1))
-    q = ex.symbol(sy.opaque("Q", args, (0, 0, 0, 0, 0)))
-
-    def d(idx):
-        multi = [0] * 5
-        multi[idx] = 1
-        return ex.symbol(sy.opaque("Q", args, tuple(multi)))
-
-    got = man.total_dx(q)
-    expected = d(0) + ux * d(2) + uxx * d(3) + F_SYMBOLIC * d(4)
-    assert got == expected
-
-
 def test_commutation_on_manifold():
     man = Manifold()
     rng = random.Random(3)
@@ -176,9 +160,6 @@ def test_free_total_derivative_matches_explicit_function():
     lhs = plug(free_total_dx(e))
     rhs = plug(e).diff(sy.X)
     assert lhs == rhs
-    lhs_t = plug(free_total_dt(e))
-    rhs_t = plug(e).diff(sy.T)
-    assert lhs_t == rhs_t
 
 
 def test_free_total_derivative_finite_difference():

@@ -6,7 +6,7 @@ and raise `ExprError` instead of wrapping when an exponent leaves its slot.
 `grlex_key` must sort as `mono_cmp`, the comparison of decoded power tuples
 kept here as its oracle; `free_symbols` and the parameter mask split of
 `linear_solve` must agree with the decoded symbols.  `Expr`
-arithmetic must satisfy the ring laws and `diff_atom` the Leibniz rule, on
+arithmetic must satisfy the ring laws and `diff` the Leibniz rule, on
 polynomials and on expressions over one radical kernel.  An `Expr` carries a
 radicand exactly when it has a radical term, which `has_radical` relies on,
 and a product with a single-term factor must build the same dict, in the
@@ -17,12 +17,12 @@ part free of a factor of the kernel.  Every coefficient is an `int`
 when integral and otherwise a `Fraction` with denominator > 1, never a
 `float`, while `as_fraction` and `eval_at` return `Fraction`s.  Total
 derivatives, free and on the manifold, and residuals must equal the chain of
-`Expr` operators that defines them, in value and in dict order.  `Sym` caches
-its hash and sort key, which must not depend on how a symbol was built.
+`Expr` operators that defines them, in value and in dict order.  A `Sym`'s
+hash and order are those of its tuple, which must not depend on how a symbol
+was built.
 """
 
 import functools
-import math
 from fractions import Fraction
 
 import pytest
@@ -53,8 +53,6 @@ SYMBOLS = [
     sy.BETA,
     sy.const("c1"),
     sy.const("c2"),
-    sy.opaque("F", (sy.X, sy.U), (0, 0)),
-    sy.opaque("F", (sy.X, sy.U), (1, 2)),
     sy.Z,
     sy.ode_w(1),
     sy.eps(),
@@ -86,7 +84,7 @@ def _assert_invariant(m):
         if sy.allows_negative_power(s):
             off = ex._OFFSET[s]
             assert not ((m >> off) & ex._M and (m >> (off + ex._W)) & ex._M)
-    keys = [s.sort_key() for s, _ in m.powers]
+    keys = [s for s, _ in m.powers]
     assert keys == sorted(set(keys))
     for s, e in m.powers:
         assert e > 0 or (e < 0 and sy.allows_negative_power(s))
@@ -194,10 +192,10 @@ def test_ring_laws(a, b, c):
 @EXPR_SETTINGS
 @given(exprs, exprs, st.sampled_from(ATOMS + [sy.BETA, sy.T]))
 def test_diff_atom_leibniz(a, b, s):
-    for e in (a * b, a.diff_atom(s), (a * b).diff_atom(s)):
+    for e in (a * b, a.diff(s), (a * b).diff(s)):
         _assert_normal(e)
-    assert (a * b).diff_atom(s) == a.diff_atom(s) * b + a * b.diff_atom(s)
-    assert (a + b).diff_atom(s) == a.diff_atom(s) + b.diff_atom(s)
+    assert (a * b).diff(s) == a.diff(s) * b + a * b.diff(s)
+    assert (a + b).diff(s) == a.diff(s) + b.diff(s)
 
 
 @EXPR_SETTINGS
@@ -205,15 +203,15 @@ def test_diff_atom_leibniz(a, b, s):
 def test_diff_atom_of_a_radical_power(p, k, s):
     # d(p R^(k/2)) = p' R^(k/2) + p (k/2) R' R^(k/2 - 1)
     half_k = ex.constant(Fraction(k, 2))
-    expected = p.diff_atom(s) * ROOT ** k + p * half_k * KERNEL.diff_atom(s) * ROOT ** (k - 2)
-    assert (p * ROOT ** k).diff_atom(s) == expected
+    expected = p.diff(s) * ROOT ** k + p * half_k * KERNEL.diff(s) * ROOT ** (k - 2)
+    assert (p * ROOT ** k).diff(s) == expected
 
 
 def test_diff_atom_lowers_the_exponent():
     x, u = ex.symbol(sy.X), ex.symbol(sy.U)
-    assert (x ** 2 * u).diff_atom(sy.X) == ex.constant(2) * x * u
-    assert x.diff_atom(sy.X) == ex.ONE
-    assert (x * u).diff_atom(sy.U) == x
+    assert (x ** 2 * u).diff(sy.X) == ex.constant(2) * x * u
+    assert x.diff(sy.X) == ex.ONE
+    assert (x * u).diff(sy.U) == x
 
 
 @EXPR_SETTINGS
@@ -224,7 +222,7 @@ def test_radicand_present_iff_radical_term(a, b, s, c):
         a * b,
         a - b,
         -a,
-        a.diff_atom(s),
+        a.diff(s),
         a.scale(c),
         a.primitive(),
         a.substitute({sy.X: b}),
@@ -372,15 +370,15 @@ def test_the_guard_catches_the_first_exponent_past_the_range():
         ex.symbol(x) ** (top + 1)
     assert mono_mul(monomial([(e, top)]), monomial([(e, -1)])) == monomial([(e, top - 1)])
     with pytest.raises(ExprError, match="overflowed"):
-        (ex.symbol(e) ** -top).diff_atom(e)
+        (ex.symbol(e) ** -top).diff(e)
 
 
 def test_diff_atom_of_exp_powers():
     e = ex.symbol(sy.exp_eps())
     x = ex.symbol(sy.X)
-    assert (x * e ** -2).diff_atom(sy.exp_eps()) == ex.constant(-2) * x * e ** -3
-    assert (x * e ** 3).diff_atom(sy.exp_eps()) == ex.constant(3) * x * e ** 2
-    assert (x * e).diff_atom(sy.exp_eps()) == x
+    assert (x * e ** -2).diff(sy.exp_eps()) == ex.constant(-2) * x * e ** -3
+    assert (x * e ** 3).diff(sy.exp_eps()) == ex.constant(3) * x * e ** 2
+    assert (x * e).diff(sy.exp_eps()) == x
 
 
 def _expr_of(pieces):
@@ -523,7 +521,7 @@ def test_radical_parts_stay_free_of_the_kernel(case, cm, p, s):
         cm * a,
         a * p,
         a * ex.sqrt(kernel) ** 3,
-        a.diff_atom(s),
+        a.diff(s),
         a.substitute({sy.X: p}),
     ]
     for e in results:
@@ -552,13 +550,13 @@ def test_kernel_with_an_exp_symbol_keeps_the_full_pull():
 
 
 def _chain_total(e, direction, produce):
-    """D(e) as `total + e.diff_atom(s) * rate` over the symbols s in order."""
+    """D(e) as `total + e.diff(s) * rate` over the symbols s in order."""
     total = ex.ZERO
     for s in sorted(e.free_symbols()):
         rate = jets._rate(s, direction, produce)
         if rate is None or rate.is_zero():
             continue
-        total = total + e.diff_atom(s) * rate
+        total = total + e.diff(s) * rate
     return total
 
 
@@ -657,8 +655,7 @@ def _manifolds():
 @given(characteristics)
 def test_total_derivatives_match_the_operator_chain(e):
     free = jets._free_producer(jets.DEFAULT_MAX_ORDER)
-    for direction, derivative in enumerate((jets.free_total_dx, jets.free_total_dt)):
-        _assert_same_build(derivative(e), _chain_total(e, direction, free))
+    _assert_same_build(jets.free_total_dx(e), _chain_total(e, 0, free))
     for man, chain in _manifolds():
         _assert_same_build(man.total_dx(e), chain.total_dx(e))
         _assert_same_build(man.total_dt(e), chain.total_dt(e))
@@ -726,7 +723,7 @@ def test_coefficients_stay_in_the_domain(a, b, s, c, inv):
         (inv * ROOT) ** -1,
         a.scale(c),
         a.primitive(),
-        a.diff_atom(s),
+        a.diff(s),
         a.substitute({sy.X: b}),
     ]
     for e in results:
@@ -762,7 +759,6 @@ def test_as_fraction_and_eval_at_return_fractions(a, c):
     for e in (a, ex.ONE, ex.ZERO, ex.constant(c)):
         value = e.eval_at(POINT)
         assert type(value) is Fraction
-        assert math.isclose(value, e.eval_at(POINT, floating=True), rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_integer_inverse_is_exact():
@@ -779,29 +775,27 @@ def test_exact_quotient_by_an_integer_constant():
     assert type(quotient[u]) is Fraction
 
 
-# -- cached Sym hash and sort key ---------------------------------------------------
+# -- Sym hash and order ---------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "make",
     [
         lambda: (sy.Sym(sy.K_JET, (1, 0)), sy.jet(1)),
-        lambda: (sy.opaque("F", (sy.X, sy.U), (1, 0)), sy.opaque("F", (sy.X, sy.U), (1, 0))),
         lambda: (sy.const("c1"), sy.Sym(sy.K_CONST, ("c1",))),
         lambda: (sy.exp_eps(), sy.Sym(sy.K_EXP, ("eps",))),
     ],
-    ids=["jet", "opaque", "const", "exp"],
+    ids=["jet", "const", "exp"],
 )
 def test_separately_built_symbols_agree(make):
     s1, s2 = make()
     assert s1 is not s2
     assert s1 == s2
     assert hash(s1) == hash(s2)
-    assert s1.sort_key() == s2.sort_key()
     assert not s1 < s2 and not s2 < s1
     for s in (s1, s2):
         assert hash(s) == hash((s.kind, s.data))
-        assert s.sort_key() == (s.kind, s.data)
+        assert s == (s.kind, s.data)
 
 
 def test_symbol_order_follows_sort_key():
