@@ -233,7 +233,7 @@ def cmd_solve(args, config: RunConfig) -> Tuple[int, Dict]:
         order, degree = BOUNDED_SCANS[spec]
         basis = builtin_basis(spec)
         result = ansatz_solve(man, basis)
-        new_dim = new_dimension_count(result.characteristics, order)
+        new_dim = new_dimension_count(result.characteristics, order, result.assumptions)
         result_block = _solution_block(result)
         result_block.update(
             {
@@ -251,7 +251,7 @@ def cmd_solve(args, config: RunConfig) -> Tuple[int, Dict]:
             basis = builtin_basis(spec, reading)
             basis = [_substitute_params(b, config) for b in basis]
             result = ansatz_solve(man, basis)
-            new_dim = new_dimension_count(result.characteristics, 3)
+            new_dim = new_dimension_count(result.characteristics, 3, result.assumptions)
             block = _solution_block(result)
             block["reading"] = reading
             block["new_dimension_at_order_3"] = new_dim

@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import claims
 from . import symbols as sy
 from .expr import (
-    Expr, ExprError, ZERO, as_expr, constant, grlex_key, monomial, sqrt, sum_of_products, symbol,
+    Expr, ExprError, ZERO, as_expr, constant, monomial, sqrt, sum_of_products, symbol,
 )
 from .jets import Manifold, expand_equation
 from .linsolve import linear_solve, rational_rref
@@ -138,9 +138,7 @@ def spot_check(value: Expr, claims_zero: bool, points: int, rng: random.Random) 
 
 
 class AnsatzResult(NamedTuple):
-    basis: List[Expr]
     characteristics: List[Expr]
-    vectors: List[Dict[int, Expr]]  # basis-index -> coefficient (param polynomial)
     assumptions: List[str]
     dependent_directions: int = 0  # ansatz combinations that vanish identically
 
@@ -184,7 +182,7 @@ def ansatz_solve(man: Manifold, basis: Sequence[Expr]) -> AnsatzResult:
         for b in basis
     )
     solution = linear_solve(columns, point if generic is not None else None)
-    vectors, dependent = _reduce_solutions(basis, solution.basis)
+    vectors, dependent = _reduce_solutions(basis, solution.basis, solution.assumptions)
     characteristics: List[Expr] = []
     for entries in vectors:
         q = _combine(basis, entries)
@@ -196,9 +194,7 @@ def ansatz_solve(man: Manifold, basis: Sequence[Expr]) -> AnsatzResult:
             )
         characteristics.append(q)
     return AnsatzResult(
-        basis=basis,
         characteristics=characteristics,
-        vectors=vectors,
         assumptions=solution.assumptions,
         dependent_directions=dependent,
     )
@@ -212,54 +208,41 @@ def _combine(basis: Sequence[Expr], entries: Dict[int, Expr]) -> Expr:
 
 
 def _reduce_solutions(
-    basis: Sequence[Expr], solutions: Sequence[Sequence[Expr]]
+    basis: Sequence[Expr], solutions: Sequence[Sequence[Expr]], assumptions: List[str]
 ) -> Tuple[List[Dict[int, Expr]], int]:
     """Reduce nullspace vectors to a basis of the characteristic *function* space.
 
     Returns (vectors, dependent), each vector mapping a basis index to its
-    nonzero coefficient.  The characteristics are first put in reduced row
-    echelon form over their grlex term coordinates (over Q, with parameter
-    monomials as coordinates), with a tracker of the row combinations riding
-    along.  A direction along which the ansatz basis itself is linearly
-    dependent gives the zero characteristic; it is dropped and counted, so
-    the dimension reported is that of the space of symmetry functions.  When
-    every coefficient left is rational, the vectors are then put in reduced
-    row echelon form over the basis coordinates, which orders them by the
-    basis; the grlex pivots alone would not.
+    nonzero coefficient.  The dependencies among the characteristics
+    q_1 .. q_m of the vectors are the solutions d of sum_j d_j * q_j = 0,
+    which `linear_solve` finds over Q(alpha, beta); the notes it needs are
+    added to `assumptions`.  Its basis vector for free column j is nonzero at
+    j, zero at every other free column, and otherwise nonzero only at pivot
+    columns, so q_j is a combination of the q at the pivot columns.  Dropping
+    the q at every free column therefore keeps the span, and leaves q that
+    are independent.  That needs the entry at j, the last pivot up to a
+    content factor, to be nonzero: one that is not a monomial has its note,
+    and a monomial in alpha, beta is nonzero because neither parameter may
+    be 0.  Each dropped q is a direction along which the ansatz basis itself
+    is dependent; they are counted, so the dimension reported is that of the
+    space of symmetry functions.  When every coefficient left is rational,
+    the vectors are then put in reduced row echelon form over the basis
+    coordinates, which orders them by the basis.
     """
     vectors = [{k: e for k, e in enumerate(vec) if not e.is_zero()} for vec in solutions]
-    qs = [_combine(basis, entries) for entries in vectors]
-    keys = {key for q in qs for key in q.terms}
-    grlex = grlex_key(m for m, _k in keys)
-    keys = sorted(keys, key=lambda key: (grlex(key[0]), key[1]))
-    n = len(vectors)
-    rows = [
-        [q.terms.get(key, Fraction(0)) for key in keys]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i, q in enumerate(qs)
-    ]
-    rref, _pivots = rational_rref(rows, pivot_cols=len(keys))
-    reduced = []
-    dependent = 0
-    for row in rref:
-        if not any(row[: len(keys)]):
-            dependent += 1
-            continue
-        entries: Dict[int, Expr] = {}
-        for j, c in enumerate(row[len(keys):]):
-            if c:
-                for k, e in vectors[j].items():
-                    entries[k] = entries.get(k, ZERO) + constant(c) * e
-        reduced.append({k: e for k, e in sorted(entries.items()) if not e.is_zero()})
+    dependencies = linear_solve(_combine(basis, entries) for entries in vectors)
+    assumptions += [n for n in dependencies.assumptions if n not in assumptions]
+    dropped = set(dependencies.free)
+    reduced = [entries for j, entries in enumerate(vectors) if j not in dropped]
     try:
         rows = [
             [entries.get(k, ZERO).as_fraction() for k in range(len(basis))]
             for entries in reduced
         ]
     except ExprError:
-        return reduced, dependent
+        return reduced, len(dropped)
     rref, _pivots = rational_rref(rows)
-    return [{k: constant(c) for k, c in enumerate(row) if c} for row in rref], dependent
+    return [{k: constant(c) for k, c in enumerate(row) if c} for row in rref], len(dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -289,27 +272,24 @@ def _term_beyond_known_class(mono, k: int, radicand, order: int) -> bool:
     return max_jet >= order
 
 
-def new_dimension_count(characteristics: Sequence[Expr], order: int) -> int:
-    """Dimension of the solution span along terms beyond the known class."""
-    high_keys = []
-    seen = set()
-    for q in characteristics:
-        for (m, k) in q.terms:
-            if (m, k) in seen:
-                continue
-            seen.add((m, k))
-            if _term_beyond_known_class(m, k, q.radicand, order):
-                high_keys.append((m, k))
-    if not high_keys:
-        return 0
-    grlex = grlex_key(m for m, _k in high_keys)
-    high_keys.sort(key=lambda key: (grlex(key[0]), key[1]))
-    rows = [
-        [q.terms.get(key, Fraction(0)) for key in high_keys]
+def new_dimension_count(characteristics: Sequence[Expr], order: int, assumptions: List[str]) -> int:
+    """Dimension over Q(alpha, beta) of the solution span along terms beyond the
+    known class: the rank of the characteristics cut down to those terms.  The
+    notes the rank needs are added to `assumptions`."""
+    high = [
+        Expr(
+            {
+                (m, k): c
+                for (m, k), c in q.terms.items()
+                if _term_beyond_known_class(m, k, q.radicand, order)
+            },
+            q.radicand,
+        )
         for q in characteristics
     ]
-    _, pivots = rational_rref(rows)
-    return len(pivots)
+    dependencies = linear_solve(high)
+    assumptions += [n for n in dependencies.assumptions if n not in assumptions]
+    return len(high) - len(dependencies.basis)
 
 
 def jet_monomial_basis(order: int, degree: int) -> List[Expr]:

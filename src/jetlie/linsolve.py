@@ -32,10 +32,11 @@ rational constants are reported as nonvanishing assumptions instead of
 case-splitting.
 
 Two dense `Fraction` helpers, `rational_rref` and `rational_solve`, back
-structure-constant decompositions, the echelon form of ansatz solutions, the
-rank counts of bounded scans, the in-span reduction of subalgebra pairs, and
-the kernels and inverses from which `algebra.exact_matrix_exp` builds matrix
-exponentials.
+structure-constant decompositions, the basis order of all-rational ansatz
+solutions, the in-span reduction of subalgebra pairs, and the kernels and
+inverses from which `algebra.exact_matrix_exp` builds matrix exponentials.
+The dimensions that `engine` counts are `nullspace` ranks, over the fraction
+field.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class NullspaceResult(NamedTuple):
     basis: List[List[Expr]]  # each vector indexed by column position
     assumptions: List[str]
     rank: int
+    free: List[int]  # the free column of each basis vector; the others are 0 there
 
 
 def _normalize(entries: Sequence[Entry]) -> Tuple[Monomial, List[Dict[TermKey, int]]]:
@@ -284,6 +286,7 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
 
     rank = len(pivots) + len(forced_zero)
     basis: List[List[Expr]] = []
+    free: List[int] = []
     for j in range(ncols):
         if j in forced_zero:
             continue
@@ -304,7 +307,8 @@ def nullspace(rows: Sequence[Row], ncols: int) -> NullspaceResult:
         for i, entry in zip(nonzero, scaled):
             vec[i] = Expr(entry, None)
         basis.append(vec)
-    return NullspaceResult(basis=basis, assumptions=assumptions, rank=rank)
+        free.append(j)
+    return NullspaceResult(basis=basis, assumptions=assumptions, rank=rank, free=free)
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +397,14 @@ def linear_solve(
 # ---------------------------------------------------------------------------
 
 
-def rational_rref(
-    mat: List[List[Fraction]], pivot_cols: Optional[int] = None
-) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over Q; returns (rref, pivot column indices).
-
-    With `pivot_cols` set, pivots are only chosen among the first that many
-    columns (the rest ride along, e.g. as row-combination trackers).
-    """
+def rational_rref(mat: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over Q; returns (rref, pivot column indices)."""
     mat = [list(map(Fraction, row)) for row in mat]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    limit = ncols if pivot_cols is None else pivot_cols
     pivots: List[int] = []
     r = 0
-    for c in range(limit):
+    for c in range(ncols):
         if r >= nrows:
             break
         pr = next((i for i in range(r, nrows) if mat[i][c] != 0), None)

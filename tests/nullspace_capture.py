@@ -4,12 +4,13 @@ from jetlie import linsolve
 
 
 def with_rows(solve, *args):
-    """solve(*args), and the rows that `linear_solve` handed `nullspace`, in order."""
+    """solve(*args), and the rows that `linear_solve` handed `nullspace`, in order:
+    one list per call."""
     handed = []
     nullspace = linsolve.nullspace
 
     def capture(rows, ncols):
-        handed.extend(rows)
+        handed.append(list(rows))
         return nullspace(rows, ncols)
 
     linsolve.nullspace = capture

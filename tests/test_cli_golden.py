@@ -33,6 +33,9 @@ CASES = {
     "custom-radical": ["solve", "u*sqrt(1+u^2),x*sqrt(1+u^2),u"],
     # the commas inside jet names do not split the basis list
     "custom-jets": ["solve", "u[1,0],u[0,1]"],
+    # parameter multiples: one dimension, and two, over Q(alpha, beta) at every point
+    "custom-param-multiple": ["solve", "b*u[1,0],u[1,0]"],
+    "custom-param-sum": ["solve", "a*u[1,0]+u[0,1],u[1,0],u[0,1]"],
 }
 # the radical third-order symmetry D_x(u_xx * (2*b*u_x^2 + a)^(-3/2))
 K3 = "u[3,0]*sqrt(2*b*u[1,0]^2 + a)^-3 - 6*b*u[1,0]*u[2,0]^2*sqrt(2*b*u[1,0]^2 + a)^-5"

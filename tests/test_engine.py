@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetlie import claims
 from jetlie import engine
@@ -25,6 +27,7 @@ u = ex.symbol(sy.U)
 ux = ex.symbol(sy.jet(1, 0))
 ut = ex.symbol(sy.jet(0, 1))
 uxx = ex.symbol(sy.jet(2, 0))
+alpha = ex.symbol(sy.ALPHA)
 beta = ex.symbol(sy.BETA)
 
 
@@ -135,15 +138,69 @@ def test_ansatz_rejects_unknown_constants(man):
 def test_bounded_order1_contact_scan(man):
     result = ansatz_solve(man, jet_monomial_basis(1, 3))
     assert result.dimension == 3
-    assert new_dimension_count(result.characteristics, 1) == 0  # no proper contact symmetry
+    # no proper contact symmetry
+    assert new_dimension_count(result.characteristics, 1, result.assumptions) == 0
 
 
 def test_bounded_order2_scan(man):
     basis = jet_monomial_basis(2, 3)
     result = ansatz_solve(man, basis)
     assert result.dimension == 3
-    assert new_dimension_count(result.characteristics, 2) == 0
+    assert new_dimension_count(result.characteristics, 2, result.assumptions) == 0
     assert len(basis) == 168
+
+
+def test_new_dimensions_are_counted_over_the_parameter_field(man):
+    # beta*K3 and K3 span one dimension over Q(alpha, beta), though over Q,
+    # with beta as a coordinate, they would be independent
+    k3 = parse(
+        "u[3,0]*sqrt(2*b*u[1,0]^2 + a)^-3 - 6*b*u[1,0]*u[2,0]^2*sqrt(2*b*u[1,0]^2 + a)^-5"
+    )
+    assert residual(man, k3).is_zero
+    notes = ["alpha != 0"]
+    assert new_dimension_count([beta * k3, k3], 3, notes) == 1
+    # the rows where a parameter divides every entry note it, once
+    assert notes == ["alpha != 0", "beta != 0"]
+
+
+def test_the_notes_of_the_dependency_solve_are_printed(man):
+    # both residuals vanish, so only the solve over the characteristics sees
+    # that they are independent where alpha + beta != 0
+    s = alpha + beta
+    result = ansatz_solve(man, [s * ux, s * ut + ux])
+    assert (result.dimension, result.dependent_directions) == (2, 0)
+    assert result.assumptions == ["alpha + beta != 0"]
+
+
+_AFFINE = point_affine_basis()
+nonzero_rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+# members of the affine basis, then alpha-, beta- and alpha*beta-multiples of them
+members = st.lists(st.sampled_from(_AFFINE), min_size=1, max_size=5, unique=True)
+parameter_multiples = members.flatmap(
+    lambda members: st.lists(
+        st.tuples(st.sampled_from(members), st.sampled_from([alpha, beta, alpha * beta])),
+        min_size=1,
+        max_size=3,
+    ).map(lambda multiples: members + [p * b for b, p in multiples])
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(parameter_multiples, nonzero_rationals, nonzero_rationals)
+def test_parameter_multiples_count_the_same_at_sym_and_at_a_point(basis, a, b):
+    """The counts at sym are over Q(alpha, beta), so they hold at every point off
+    the notes printed there; those notes are alpha, beta != 0 only, and every
+    point drawn is off them."""
+    at_sym = ansatz_solve(Manifold(), basis)
+    assert set(at_sym.assumptions) <= {"alpha != 0", "beta != 0"}
+    values = {sy.ALPHA: ex.constant(a), sy.BETA: ex.constant(b)}
+    at_point = ansatz_solve(
+        Manifold(expand_equation(a, b)), [q.substitute(values) for q in basis]
+    )
+    assert (at_sym.dimension, at_sym.dependent_directions) == (
+        at_point.dimension,
+        at_point.dependent_directions,
+    )
 
 
 def test_printed_generators_are_the_verified_ones(man, monkeypatch):

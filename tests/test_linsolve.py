@@ -160,7 +160,7 @@ def test_entries_and_rows_that_vanish_at_the_point_are_dropped():
     point = {sy.ALPHA: Fraction(2), sy.BETA: Fraction(1)}
     one = (ex.MONE, 0)
     sol, rows = with_rows(linear_solve, iter(cols), point)
-    assert rows == [{1: {one: 1}}, {2: {one: 1}}]
+    assert rows == [[{1: {one: 1}}, {2: {one: 1}}]]
     assert (sol.basis, sol.assumptions, sol.rank) == ([[ex.ONE, ex.ZERO, ex.ZERO]], [], 2)
     # the same columns built at the point
     at_point = [col.substitute({sy.ALPHA: ex.constant(2), sy.BETA: ex.ONE}) for col in cols]
@@ -169,7 +169,7 @@ def test_entries_and_rows_that_vanish_at_the_point_are_dropped():
     off_line = {sy.ALPHA: Fraction(1, 3), sy.BETA: Fraction(1)}
     sol, rows = with_rows(linear_solve, iter(cols), off_line)
     third = Fraction(-5, 3)
-    assert rows == [{0: {one: third}}, {1: {one: third}, 2: {one: 1}}, {1: {one: 1}}]
+    assert rows == [[{0: {one: third}}, {1: {one: third}, 2: {one: 1}}, {1: {one: 1}}]]
     assert sol.basis == []
 
 

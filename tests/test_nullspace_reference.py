@@ -125,6 +125,7 @@ def eager_nullspace(rows, ncols: int) -> NullspaceResult:
 
     rank = len(pivots) + len(forced_zero)
     basis: List[List[Expr]] = []
+    free: List[int] = []
     for j in range(ncols):
         if j in forced_zero:
             continue
@@ -145,7 +146,8 @@ def eager_nullspace(rows, ncols: int) -> NullspaceResult:
         for i, entry in zip(nonzero, scaled):
             vec[i] = Expr(entry, None)
         basis.append(vec)
-    return NullspaceResult(basis=basis, assumptions=assumptions, rank=rank)
+        free.append(j)
+    return NullspaceResult(basis=basis, assumptions=assumptions, rank=rank, free=free)
 
 
 def _ordered(result: NullspaceResult):
